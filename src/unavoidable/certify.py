@@ -184,6 +184,29 @@ def _abstention(kind: str, r: int, d: Optional[int], s: Optional[int]) -> Certif
     )
 
 
+def _index_bound(kind: str, space: str, K: SimplicialComplex, r: int, s: Optional[int],
+                 bound: int) -> Certificate:
+    pp = prime_power(r)
+    if pp is None:
+        return _abstention(kind, r, None, s)
+    check = _check_factor(K, r, s)
+    if not check.unavoidable:
+        label = f"{r}-unavoidable" if s is None else f"({r},{s})-unavoidable"
+        return Certificate(
+            kind=kind, r=r, prime_power=pp, d=None, s=s, factors=(check,),
+            inequality=None, bound=None, dimension_form=None,
+            verdict=ABSTAINED,
+            reasons=(f"hypothesis failed: the complex is not {label}",),
+            conclusion=None,
+        )
+    return Certificate(
+        kind=kind, r=r, prime_power=pp, d=None, s=s, factors=(check,),
+        inequality=None, bound=bound, dimension_form=None,
+        verdict=CERTIFIED, reasons=(),
+        conclusion=f"the equivariant index of the {r}-fold deleted {space} is at least {bound}",
+    )
+
+
 def index_bound_deleted_join(K: SimplicialComplex, r: int, s: Optional[int] = None) -> Certificate:
     """Lower bound m - r (or m - r + s - 1) for the equivariant index of the
     r-fold deleted join of an r-unavoidable (resp. (r,s)-unavoidable) complex.
@@ -191,51 +214,15 @@ def index_bound_deleted_join(K: SimplicialComplex, r: int, s: Optional[int] = No
     With r equal to the partition number this is m - pi(K).  Hypothesis
     failures abstain; no bound is reported unverified.
     """
-    pp = prime_power(r)
-    if pp is None:
-        return _abstention("index_join_bound", r, None, s)
-    check = _check_factor(K, r, s)
-    if not check.unavoidable:
-        label = f"{r}-unavoidable" if s is None else f"({r},{s})-unavoidable"
-        return Certificate(
-            kind="index_join_bound", r=r, prime_power=pp, d=None, s=s, factors=(check,),
-            inequality=None, bound=None, dimension_form=None,
-            verdict=ABSTAINED,
-            reasons=(f"hypothesis failed: the complex is not {label}",),
-            conclusion=None,
-        )
     bound = K.m - r if s is None else K.m - r + s - 1
-    return Certificate(
-        kind="index_join_bound", r=r, prime_power=pp, d=None, s=s, factors=(check,),
-        inequality=None, bound=bound, dimension_form=None,
-        verdict=CERTIFIED, reasons=(),
-        conclusion=f"the equivariant index of the {r}-fold deleted join is at least {bound}",
-    )
+    return _index_bound("index_join_bound", "join", K, r, s, bound)
 
 
 def index_bound_deleted_product(K: SimplicialComplex, r: int, s: Optional[int] = None) -> Certificate:
     """Lower bound m - 2r + 1 (or m - 2r + s) for the equivariant index of the
     r-fold deleted product; hypotheses as for the deleted join."""
-    pp = prime_power(r)
-    if pp is None:
-        return _abstention("index_product_bound", r, None, s)
-    check = _check_factor(K, r, s)
-    if not check.unavoidable:
-        label = f"{r}-unavoidable" if s is None else f"({r},{s})-unavoidable"
-        return Certificate(
-            kind="index_product_bound", r=r, prime_power=pp, d=None, s=s, factors=(check,),
-            inequality=None, bound=None, dimension_form=None,
-            verdict=ABSTAINED,
-            reasons=(f"hypothesis failed: the complex is not {label}",),
-            conclusion=None,
-        )
     bound = K.m - 2 * r + 1 if s is None else K.m - 2 * r + s
-    return Certificate(
-        kind="index_product_bound", r=r, prime_power=pp, d=None, s=s, factors=(check,),
-        inequality=None, bound=bound, dimension_form=None,
-        verdict=CERTIFIED, reasons=(),
-        conclusion=f"the equivariant index of the {r}-fold deleted product is at least {bound}",
-    )
+    return _index_bound("index_product_bound", "product", K, r, s, bound)
 
 
 def certify_join_nonembeddable(
@@ -247,7 +234,7 @@ def certify_join_nonembeddable(
     All hypotheses are checked computationally: prime-power r, every factor
     r-unavoidable, and the inequality in exact integers.  For r = 2 the
     equivalent dimension form d <= sum(m_i) - s - 2 is reported and its
-    agreement asserted.
+    agreement checked.
     """
     factors = list(factors)
     if not factors:
@@ -270,7 +257,8 @@ def certify_join_nonembeddable(
         max_dim = total_m - s - 2
         holds = d <= max_dim
         agrees = holds == ineq.holds
-        assert agrees, "the two forms of the r=2 inequality must coincide"
+        if not agrees:
+            raise RuntimeError("the two forms of the r=2 inequality disagree")
         dimension_form = DimensionForm(max_dim=max_dim, holds=holds, agrees=agrees)
     reasons = []
     for idx, check in enumerate(checks):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -125,14 +124,10 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit a JSON report")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker budget; reserved, output is identical for every value")
 
     parser = _Parser(prog="unavoidable",
                      description="Exact toolkit for r-unavoidable simplicial complexes.")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker budget; reserved, output is identical for every value")
     parser.add_argument("--schema", action="store_true",
                         help="print the JSON result schemas and exit")
     sub = parser.add_subparsers(dest="command")
@@ -491,9 +486,6 @@ def run(argv) -> int:
         return EXIT_OK
     if args.command is None:
         print("error: a subcommand is required (see --help)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

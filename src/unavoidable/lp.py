@@ -164,29 +164,10 @@ def maximize(
                 for j in range(cols + 1):
                     if row[j]:
                         z1[j] -= row[j]
-        # Phase-1 loop updates both objective rows so phase 2 can start directly.
-        while True:
-            enter = -1
-            for j in range(cols):
-                if z1[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                break
-            leave = -1
-            best_ratio: Optional[Fraction] = None
-            for i, row in enumerate(tableau):
-                a = row[enter]
-                if a > 0:
-                    ratio = row[cols] / a
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leave]
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:  # phase-1 objective is bounded by construction
-                raise RuntimeError("phase 1 reported unbounded; tableau is corrupt")
-            pivot(leave, enter, [z1, z2])
+        # Phase 1 updates both objective rows so phase 2 can start directly.
+        status, _ = run_simplex([z1, z2], True)
+        if status == "unbounded":  # phase-1 objective is bounded by construction
+            raise RuntimeError("phase 1 reported unbounded; tableau is corrupt")
         if z1[cols] != 0:
             return LpResult("infeasible", None, None, dual_values(z1), None)
         # Drive leftover basic artificials out; drop redundant rows.

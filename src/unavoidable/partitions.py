@@ -11,15 +11,17 @@ non-faces are upward closed).  Hence
 and K is r-unavoidable iff no r pairwise disjoint minimal non-faces exist.
 A literal brute-force oracle over set partitions guards the reduction.
 
-All searches scan candidates in the lexicographic order of their vertex
-tuples, so returned witnesses are the lexicographically least ones and runs
-reproduce bit-identically regardless of scheduling.
+One bounded search, ``_least_packing``, answers every packing question.  It
+scans candidates in the lexicographic order of their vertex tuples, so
+returned witnesses are the lexicographically least ones and runs reproduce
+bit-identically regardless of scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bitsets import SubsetLike, as_mask, elements, full_mask, iter_singletons
 from .complexes import SimplicialComplex
@@ -51,39 +53,63 @@ def _partition_witness(K: SimplicialComplex, block_masks: Sequence[int]) -> Part
     )
 
 
+def _union(masks: Iterable[int]) -> int:
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+def _least_packing(cands: Sequence[int], k: int, room: int) -> Optional[list[int]]:
+    """Lexicographically least family of k pairwise disjoint masks from cands
+    whose sizes sum to at most room, or None.
+
+    Depth-first search in candidate order, so the first family found is the
+    least one.  A branch is cut when too few candidates remain, or when the
+    masks still needed, each at least as large as the smallest remaining
+    candidate, cannot fit into the vertices left: room, capped at the size of
+    the union of cands, minus the sizes chosen so far.
+    """
+    n = len(cands)
+    sizes = [c.bit_count() for c in cands]
+    smallest = list(accumulate(reversed(sizes), min))[::-1]  # min of sizes[i:]
+    out: list[int] = []
+
+    def rec(start: int, used: int, left: int) -> bool:
+        need = k - len(out)
+        if need == 0:
+            return True
+        for i in range(start, n):
+            if n - i < need or need * smallest[i] > left:
+                return False
+            cand = cands[i]
+            if cand & used or sizes[i] > left:
+                continue
+            out.append(cand)
+            if rec(i + 1, used | cand, left - sizes[i]):
+                return True
+            out.pop()
+        return False
+
+    return out if rec(0, 0, min(room, _union(cands).bit_count())) else None
+
+
 def max_disjoint_min_nonfaces(K: SimplicialComplex) -> tuple[int, PackingWitness]:
     """Maximum pairwise disjoint family of minimal non-faces, with its witness.
 
-    Branch and bound over the minimal-non-face antichain in lexicographic
-    order; the returned witness is the lexicographically least family of
-    maximum size.  D = 0 exactly when K is the full simplex.
+    Raises k while a packing of k minimal non-faces exists; the returned
+    witness is the lexicographically least family of maximum size.  D = 0
+    exactly when K is the full simplex.
     """
-    cands = K.min_nonfaces
-    n = len(cands)
     best: list[int] = []
-    chosen: list[int] = []
-
-    def grow(start: int, used: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        for i in range(start, n):
-            if len(chosen) + (n - i) <= len(best):
-                return
-            cand = cands[i]
-            if cand & used:
-                continue
-            chosen.append(cand)
-            grow(i + 1, used | cand)
-            chosen.pop()
-
-    grow(0, 0)
-    union = 0
-    for mask in best:
-        union |= mask
+    while True:
+        packing = _least_packing(K.min_nonfaces, len(best) + 1, K.m)
+        if packing is None:
+            break
+        best = packing
     witness = PackingWitness(
         nonfaces=tuple(elements(mask) for mask in best),
-        leftover=elements(full_mask(K.m) & ~union),
+        leftover=elements(full_mask(K.m) & ~_union(best)),
     )
     return len(best), witness
 
@@ -142,29 +168,6 @@ def partition_number_oracle(K: SimplicialComplex) -> int:
     return K.m + 1
 
 
-def _first_packing(cands: Sequence[int], k: int) -> Optional[list[int]]:
-    """Lexicographically least family of k pairwise disjoint masks, or None."""
-    n = len(cands)
-    out: list[int] = []
-
-    def rec(start: int, used: int) -> bool:
-        if len(out) == k:
-            return True
-        for i in range(start, n):
-            if n - i < k - len(out):
-                return False
-            cand = cands[i]
-            if cand & used:
-                continue
-            out.append(cand)
-            if rec(i + 1, used | cand):
-                return True
-            out.pop()
-        return False
-
-    return out if rec(0, 0) else None
-
-
 def is_r_unavoidable(K: SimplicialComplex, r: int) -> tuple[bool, Optional[PartitionWitness]]:
     """True iff pi(K) <= r, i.e. no r pairwise disjoint minimal non-faces exist.
 
@@ -174,49 +177,12 @@ def is_r_unavoidable(K: SimplicialComplex, r: int) -> tuple[bool, Optional[Parti
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    packing = _first_packing(K.min_nonfaces, r)
+    packing = _least_packing(K.min_nonfaces, r, K.m)
     if packing is None:
         return True, None
-    used = 0
-    for mask in packing:
-        used |= mask
     blocks = list(packing)
-    blocks[0] |= full_mask(K.m) & ~used
+    blocks[0] |= full_mask(K.m) & ~_union(packing)
     return False, _partition_witness(K, blocks)
-
-
-def _min_total_packing(cands: Sequence[int], k: int) -> Optional[tuple[int, list[int]]]:
-    """Packing of exactly k disjoint masks minimizing total size; lex-least minimizer."""
-    n = len(cands)
-    if k == 0:
-        return 0, []
-    sizes = [c.bit_count() for c in cands]
-    best: Optional[tuple[int, list[int]]] = None
-    chosen: list[int] = []
-
-    def rec(start: int, used: int, total: int) -> None:
-        nonlocal best
-        if len(chosen) == k:
-            if best is None or total < best[0]:
-                best = (total, chosen.copy())
-            return
-        need = k - len(chosen)
-        if best is not None:
-            floor = total + sum(sorted(sizes[start:])[:need])
-            if floor >= best[0]:
-                return
-        for i in range(start, n):
-            if n - i < need:
-                return
-            cand = cands[i]
-            if cand & used:
-                continue
-            chosen.append(cand)
-            rec(i + 1, used | cand, total + sizes[i])
-            chosen.pop()
-
-    rec(0, 0, 0)
-    return best
 
 
 def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optional[PartitionWitness]]:
@@ -229,26 +195,23 @@ def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optio
     """
     if not r > s >= 1:
         raise ValueError("need r > s >= 1")
-    k = r - s + 1
-    found = _min_total_packing(K.min_nonfaces, k)
-    if found is None or found[0] > K.m - (s - 1):
+    # The first room that admits a packing is the least total size, so its
+    # packing is the lexicographically least one of least total size.
+    cands = K.min_nonfaces
+    for room in range(min(K.m - s + 1, _union(cands).bit_count()) + 1):
+        packing = _least_packing(cands, r - s + 1, room)
+        if packing is not None:
+            break
+    else:
         return True, None
-    packing = found[1]
-    used = 0
-    for mask in packing:
-        used |= mask
-    leftover = full_mask(K.m) & ~used
+    leftover = full_mask(K.m) & ~_union(packing)
     blocks = list(packing)
     if s == 1:
         blocks[0] |= leftover
     else:
         rest = list(iter_singletons(leftover))
-        for bit in rest[: s - 2]:
-            blocks.append(bit)
-        tail = 0
-        for bit in rest[s - 2:]:
-            tail |= bit
-        blocks.append(tail)
+        blocks += rest[: s - 2]
+        blocks.append(_union(rest[s - 2:]))
     return False, _partition_witness(K, blocks)
 
 
@@ -271,7 +234,7 @@ def is_minimally_r_unavoidable(K: SimplicialComplex, r: int) -> bool:
         if facet == 0:
             continue
         off_facet = [nf for nf in K.min_nonfaces if nf & facet == 0]
-        if _first_packing(off_facet, r - 1) is None:
+        if _least_packing(off_facet, r - 1, K.m) is None:
             return False
     return True
 

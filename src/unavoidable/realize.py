@@ -36,6 +36,7 @@ from .complexes import (
     _facets_of_closed_family,
     as_fraction,
     from_facets,
+    sublevel_complex,
 )
 from .errors import BudgetExceededError
 from .lp import maximize
@@ -165,9 +166,8 @@ def superadditive_sublevel(nu, r: int) -> SimplicialComplex:
     threshold = alpha / r
     facets = _facets_of_closed_family(nu.m, lambda mask: nu.value(mask) <= threshold)
     K = from_facets(nu.m, facets)
-    if __debug__:
-        ok, _ = is_r_unavoidable(K, r)
-        assert ok, "sub-level complex of a superadditive measure must be r-unavoidable"
+    if not is_r_unavoidable(K, r)[0]:
+        raise RuntimeError("sub-level complex of a superadditive measure is not r-unavoidable")
     return K
 
 
@@ -339,11 +339,11 @@ def linear_subcomplex_witness(K: SimplicialComplex, r: int, *,
         for nf in K.min_nonfaces:
             if witness.value(nf) <= Fraction(1, r):
                 raise RuntimeError("relaxed LP witness fails a non-face constraint")
-        if __debug__:
-            from .complexes import sublevel_complex
-            sub = sublevel_complex(witness, Fraction(1, r))
-            assert all(K.is_face(f) for f in sub.facets), "sub-level complex not inside K"
-            assert is_r_unavoidable(sub, r)[0]
+        sub = sublevel_complex(witness, Fraction(1, r))
+        if not all(K.is_face(f) for f in sub.facets):
+            raise RuntimeError("relaxed LP witness: sub-level complex not inside K")
+        if not is_r_unavoidable(sub, r)[0]:
+            raise RuntimeError("relaxed LP witness: sub-level complex is not r-unavoidable")
         return LpVerdict(True, witness, eps, None)
     return LpVerdict(False, None, eps,
                      f"optimal margin {eps} <= 0: the listed dual weights cap the margin; "
@@ -394,8 +394,8 @@ def selfdual_wh_realization(K: SimplicialComplex) -> WeightedHypergraph:
     members = list(range(1, 1 << K.m))
     omega = [ZERO if K.is_face(mask) else ONE for mask in members]
     out = WeightedHypergraph(K.m, members, omega)
-    if __debug__:
-        assert wh_realization_check(K, 2, out)
+    if not wh_realization_check(K, 2, out):
+        raise RuntimeError("canonical weighted hypergraph does not realize the complex")
     return out
 
 

@@ -168,8 +168,6 @@ def test_budget_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run(["realize", str(skel), "--r", "2", "--lp-cap", "3"]) == 5
     capsys.readouterr()
-    assert run(["--threads", "0", "pi", str(path)]) == 1
-    capsys.readouterr()
 
 
 def test_global_flags_accepted_after_subcommand(points5, capsys):
@@ -227,8 +225,8 @@ def test_json_reports_are_deterministic(points5, skel15, capsys):
     for template in GOLDEN:
         argv = [a.format(points5=points5, skel15=skel15) for a in template]
         outs = []
-        for extra in ([], [], ["--threads", "1"], ["--threads", "8"]):
-            run(extra + argv)
+        for _ in range(2):
+            run(argv)
             out, _ = _capture(capsys)
             outs.append(_strip_timings(out))
         assert len(set(outs)) == 1, argv

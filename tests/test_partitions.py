@@ -86,6 +86,14 @@ def test_packing_witness_is_lexicographically_least():
         assert list(w.nonfaces) == best
 
 
+def test_packing_bound_decides_large_examples():
+    # The vertex-count bound proves these at once; an unbounded search over
+    # the 1820 four-sets of skeleton(2, 16) does not finish in minutes.
+    assert partition_number(skeleton(2, 16)) == 5
+    assert partition_number(points(16)) == 9
+    assert not is_minimally_r_unavoidable(points(16), 9)
+
+
 def test_packing_witness_is_valid_and_deterministic():
     rng = random.Random(100)
     for _ in range(30):
@@ -237,6 +245,28 @@ def test_rs_matches_literal_partition_scan():
                     literal = False
                     break
             assert is_rs_unavoidable(K, r, s)[0] == literal, (K, r, s)
+
+
+def test_rs_witness_is_least_minimum_total_packing():
+    rng = random.Random(24)
+    for _ in range(40):
+        K = random_complex(rng, rng.randint(2, 7))
+        cands = [tuple(v + 1 for v in range(K.m) if mask >> v & 1) for mask in K.min_nonfaces]
+        for r, s in ((3, 2), (4, 2), (4, 3)):
+            k = r - s + 1
+            best = None
+            for family in combinations(cands, k):
+                flat = [v for block in family for v in block]
+                if len(flat) == len(set(flat)):
+                    key = (len(flat), list(family))
+                    if best is None or key < best:
+                        best = key
+            ok, witness = is_rs_unavoidable(K, r, s)
+            if best is None or best[0] > K.m - s + 1:
+                assert ok and witness is None, (K, r, s)
+            else:
+                assert not ok, (K, r, s)
+                assert list(witness.blocks[:k]) == best[1], (K, r, s)
 
 
 def test_rs_false_witness_has_few_face_blocks():

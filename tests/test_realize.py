@@ -188,6 +188,16 @@ def test_superadditive_sublevel_always_unavoidable():
         assert is_r_unavoidable(K, r)[0]
 
 
+def test_superadditive_sublevel_check_survives_optimization(monkeypatch):
+    # The unavoidability re-check is a RuntimeError, not an assert, so it
+    # still runs under python -O.
+    import unavoidable.realize
+
+    monkeypatch.setattr(unavoidable.realize, "is_r_unavoidable", lambda K, r: (False, None))
+    with pytest.raises(RuntimeError):
+        superadditive_sublevel(Measure.uniform(5), 3)
+
+
 def test_pi_upper_bound_examples():
     assert pi_upper_bound(1, Fraction(1, 3)) == 3
     assert pi_upper_bound(1, Fraction(1, 2)) == 2
