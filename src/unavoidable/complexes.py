@@ -1,8 +1,9 @@
 """Immutable simplicial complexes on a ground set {1, ..., m}.
 
 A complex is stored by its facets (inclusion-maximal faces) together with the
-cached antichain of minimal non-faces computed at construction time.  The two
-antichains support both membership routes:
+cached antichain of minimal non-faces computed at construction time, as the
+minimal transversals of the facet complements.  The two antichains support
+both membership routes:
 
     A is a face  <=>  A is contained in some facet
                  <=>  A contains no minimal non-face
@@ -137,37 +138,67 @@ class SimplicialComplex:
         return f"SimplicialComplex(m={self.m}, facets={shown}{more})"
 
 
+def _incidence_rows(m: int, masks: list[int]) -> list[int]:
+    # Row v has bit i set iff masks[i] contains vertex v+1, so one big-int AND
+    # of rows intersects whole columns of the family at once.
+    occ = [0] * m
+    for i, mask in enumerate(masks):
+        for low in iter_singletons(mask):
+            occ[low.bit_length() - 1] |= 1 << i
+    return occ
+
+
 def _maximal_antichain(masks: Iterable[int]) -> list[int]:
+    # The AND of a mask's vertex rows marks the masks that contain it (all
+    # masks for the empty one), so the mask is maximal iff only its own bit is left.
     uniq = sorted(set(masks))
-    return [a for a in uniq if not any(a != b and a & ~b == 0 for b in uniq)]
+    occ = _incidence_rows(max(uniq, default=0).bit_length(), uniq)
+    every = (1 << len(uniq)) - 1
+    out = []
+    for i, a in enumerate(uniq):
+        above = every
+        for low in iter_singletons(a):
+            above &= occ[low.bit_length() - 1]
+        if above == 1 << i:
+            out.append(a)
+    return out
 
 
 def _min_nonfaces_from_facets(m: int, facets: tuple[int, ...]) -> tuple[int, ...]:
-    # Ascending-cardinality sweep.  `level` holds every face of the current
-    # cardinality; a candidate one element larger is a minimal non-face
-    # exactly when it is not a face and each one-element deletion is a face.
+    # A set is a non-face iff it meets every facet complement, so the minimal
+    # non-faces are the minimal transversals of the complements.  They are
+    # enumerated by MMCS (Murakami-Uno 2014): grow S depth first, branching on
+    # the uncovered complement with the fewest candidate vertices; each member
+    # of S keeps its critical complements (those S meets only in that member)
+    # as a bitset over complement indices, and S stops growing as soon as a
+    # member's critical set empties, since S is then no longer minimal.
+    # The cost follows the number of facets and minimal non-faces, not 2^m.
     full = full_mask(m)
-    if any(facet == full for facet in facets):
-        return ()  # full simplex: no non-faces, skip the 2^m walk
+    edges = [full ^ facet for facet in facets]
+    if 0 in edges:
+        return ()  # full simplex: its empty complement has no transversal
+    occ = _incidence_rows(m, edges)
     out: list[int] = []
-    level: set[int] = {0}
-    while level:
-        nxt: set[int] = set()
-        tried: set[int] = set()
-        for base in level:
-            free = full & ~base
-            while free:
-                low = free & -free
-                free ^= low
-                cand = base | low
-                if cand in tried:
-                    continue
-                tried.add(cand)
-                if any(cand & ~facet == 0 for facet in facets):
-                    nxt.add(cand)
-                elif all((cand ^ bit) in level for bit in iter_singletons(cand)):
-                    out.append(cand)
-        level = nxt
+
+    # `uncovered` (complement masks, for the branch choice) and `uncov` (their
+    # index bitset, for the critical sets) hold the same complements.
+    def grow(chosen: int, crit: list[int], uncovered: list[int], uncov: int, cand: int) -> None:
+        if not uncovered:
+            out.append(chosen)
+            return
+        branch = min((edge & cand for edge in uncovered), key=int.bit_count)
+        # Each branch vertex leaves cand for its own subtree and returns for
+        # the later ones, so every transversal is reached exactly once.
+        cand &= ~branch
+        for low in iter_singletons(branch):
+            row = occ[low.bit_length() - 1]
+            kept = [c & ~row for c in crit]
+            if all(kept):
+                kept.append(row & uncov)
+                grow(chosen | low, kept, [e for e in uncovered if not e & low], uncov & ~row, cand)
+            cand |= low
+
+    grow(0, [], edges, (1 << len(edges)) - 1, full)
     return tuple(sorted(out, key=elements))
 
 

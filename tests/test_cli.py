@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from unavoidable import parse_scx
 from unavoidable.cli import run
 
 
@@ -55,6 +56,17 @@ def test_pi_json_report(points5, capsys):
     assert report["results"]["witness_blocks"] == [[1, 2], [3, 4]]
     assert report["results"]["leftover"] == [5]
     assert list(report["inputs"].values())[0].startswith("sha256:")
+
+
+def test_pi_on_one_large_facet(tmp_path, capsys):
+    # 2^39 faces: the minimal non-faces must come without visiting them.
+    text = "m 40\n" + " ".join(str(v) for v in range(1, 40)) + "\n"
+    assert parse_scx(text).min_nonfaces == (1 << 39,)
+    path = tmp_path / "m40.scx"
+    path.write_text(text)
+    assert run(["pi", str(path), "--json"]) == 0
+    out, _ = _capture(capsys)
+    assert json.loads(out)["results"]["pi"] == 2
 
 
 def test_analyze_command(skel15, capsys):

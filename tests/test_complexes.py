@@ -25,6 +25,7 @@ from unavoidable import (
     sublevel_complex,
 )
 from unavoidable.bitsets import elements, full_mask
+from unavoidable.complexes import _maximal_antichain
 
 from oracles import brute_faces, brute_min_nonfaces, oracle_num_faces, random_complex
 
@@ -98,9 +99,28 @@ def test_isolated_ground_set_elements_count():
 
 def test_min_nonfaces_match_brute_force_on_random_complexes():
     rng = random.Random(2024)
-    for _ in range(60):
-        K = random_complex(rng, rng.randint(1, 7))
-        assert set(K.min_nonfaces) == brute_min_nonfaces(K)
+    cases = [from_facets(1, [[]]), from_facets(6, [[]]), from_facets(1, [[1]]),
+             from_facets(9, [full_mask(9)]), from_facets(8, [[1, 2], [3]])]
+    for _ in range(320):
+        m = rng.randint(1, 10)
+        # Facets drawn inside a random support leave isolated ground-set vertices.
+        support = rng.getrandbits(m)
+        facets = [rng.getrandbits(m) & support for _ in range(rng.randint(1, 8))]
+        cases.append(from_facets(m, facets))
+    for K in cases:
+        assert K.min_nonfaces == tuple(sorted(brute_min_nonfaces(K), key=elements))
+
+
+def test_maximal_antichain_matches_pairwise_filter():
+    rng = random.Random(11)
+    for _ in range(500):
+        m = rng.randint(1, 12)
+        masks = [rng.getrandbits(m) for _ in range(rng.randint(1, 12))]
+        masks += rng.choices(masks, k=rng.randint(0, 3)) + [0] * rng.randint(0, 2)
+        uniq = sorted(set(masks))
+        naive = [a for a in uniq if not any(a != b and a & ~b == 0 for b in uniq)]
+        assert _maximal_antichain(masks) == naive
+    assert _maximal_antichain([0, 0]) == [0]
 
 
 # --- membership ------------------------------------------------------------

@@ -81,6 +81,15 @@ def test_ramsey_n6_unavoidable():
     assert partition_number(L) == 2
 
 
+def test_ramsey_n7_min_nonfaces_without_face_walk():
+    # m = 21 with 35 facets: the minimal non-faces must come from the
+    # facets, not from a walk over the faces.
+    L, _ = ramsey_complex(7, contains_clique(3))
+    assert L.m == 21 and len(L.facets) == 35
+    assert len(L.min_nonfaces) == 1743
+    assert partition_number(L) == 2
+
+
 def test_ramsey_face_definition():
     # S is a face exactly when the complementary edge set has the property.
     for n in (4, 5):
