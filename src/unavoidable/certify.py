@@ -38,9 +38,6 @@ class PrimePower:
     p: int
     k: int
 
-    def to_json(self) -> dict:
-        return {"r": self.r, "p": self.p, "k": self.k}
-
 
 def prime_power(r: int) -> Optional[PrimePower]:
     """Decompose r = p^k by trial division, or None when r is not a prime power."""
@@ -84,18 +81,6 @@ class FactorCheck:
     max_disjoint_nonfaces: int
     violating_partition: Optional[tuple[tuple[int, ...], ...]]
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "s": self.s,
-            "unavoidable": self.unavoidable,
-            "max_disjoint_nonfaces": self.max_disjoint_nonfaces,
-            "violating_partition":
-                None if self.violating_partition is None
-                else [list(block) for block in self.violating_partition],
-        }
-
 
 @dataclass(frozen=True)
 class Inequality:
@@ -103,9 +88,6 @@ class Inequality:
     rhs: int
     holds: bool
     text: str
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds, "text": self.text}
 
 
 @dataclass(frozen=True)
@@ -115,9 +97,6 @@ class DimensionForm:
     max_dim: int
     holds: bool
     agrees: bool
-
-    def to_json(self) -> dict:
-        return {"max_dim": self.max_dim, "holds": self.holds, "agrees": self.agrees}
 
 
 @dataclass(frozen=True)
@@ -134,23 +113,6 @@ class Certificate:
     verdict: str
     reasons: tuple[str, ...]
     conclusion: Optional[str]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r": self.r,
-            "prime_power": None if self.prime_power is None else self.prime_power.to_json(),
-            "d": self.d,
-            "s": self.s,
-            "factors": [f.to_json() for f in self.factors],
-            "inequality": None if self.inequality is None else self.inequality.to_json(),
-            "bound": self.bound,
-            "dimension_form":
-                None if self.dimension_form is None else self.dimension_form.to_json(),
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "conclusion": self.conclusion,
-        }
 
 
 def exit_code(cert: Certificate) -> int:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
-from fractions import Fraction
-from typing import Optional
+from dataclasses import asdict
 
 from . import __version__
 from .complexes import (
@@ -26,7 +26,7 @@ from .complexes import (
     format_scx,
     is_self_dual,
     join,
-    load_scx,
+    parse_scx,
 )
 from .certify import certify_join_nonembeddable, certify_single_nonembeddable, exit_code
 from .errors import BudgetExceededError
@@ -42,7 +42,6 @@ from .generators import (
     skeleton,
 )
 from .partitions import (
-    PartitionWitness,
     is_minimally_r_unavoidable,
     is_r_unavoidable,
     is_rs_unavoidable,
@@ -81,32 +80,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _read(path: str, report: dict) -> str:
+    """Read ``path`` once: record the sha256 of its bytes in the report's
+    ``inputs`` and return the text that ``open(path, encoding="utf-8")``
+    would give (universal newlines, so parse error positions match)."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {text!r}; write p/q") from None
-
-
-def _load_complex(path: str) -> SimplicialComplex:
-    try:
-        return load_scx(path)
-    except (OSError, ScxFormatError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise InputError(f"{path}: {exc}") from None
+    report["inputs"][path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
-def _witness_json(witness: Optional[PartitionWitness]):
-    if witness is None:
-        return None
-    return {
-        "blocks": [list(b) for b in witness.blocks],
-        "offending": list(witness.offending),
-    }
+def _load_complex(path: str, report: dict) -> SimplicialComplex:
+    t0 = time.perf_counter()
+    text = _read(path, report)
+    try:
+        K = parse_scx(text)
+    except ScxFormatError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    timings = report["timings"]
+    timings["parse_ms"] = timings.get("parse_ms", 0.0) + (time.perf_counter() - t0) * 1e3
+    return K
 
 
 def _verdict_json(verdict: LpVerdict) -> dict:
@@ -174,7 +170,6 @@ def build_parser() -> _Parser:
     g.add_argument("--clique", type=int, required=True)
     g.add_argument("--r", type=int, default=2)
     g.add_argument("--check-admissible", action="store_true")
-    g.add_argument("--allow-empty-classes", action="store_true", default=True)
     g.add_argument("--no-empty-classes", dest="allow_empty_classes", action="store_false")
     g.add_argument("--budget", type=int, default=DEFAULT_COLORING_BUDGET)
     g.add_argument("-o", "--output", default=None)
@@ -208,7 +203,9 @@ _SCHEMAS = {
         "version": "string",
         "inputs": {"<path>": "sha256:<hex>"},
         "results": "object (per-command schema below)",
-        "timings": {"<phase>_ms": "float (excluded from determinism guarantees)"},
+        "timings": {"parse_ms": "float: reading and parsing the input complexes; absent "
+                                "for gen (timings are excluded from determinism guarantees)",
+                    "total_ms": "float: the whole command"},
     },
     "pi": {"pi": "int", "D": "int", "witness_blocks": [["int"]], "leftover": ["int"],
            "r_checks": [{"r": "int", "s": "int|null", "verdict": "bool",
@@ -230,22 +227,6 @@ _SCHEMAS = {
 }
 
 
-def _emit(args, command: str, inputs: dict, results: dict, timings: dict,
-          plain_lines: list[str]) -> None:
-    if args.json:
-        report = {
-            "command": command,
-            "version": __version__,
-            "inputs": inputs,
-            "results": results,
-            "timings": timings,
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        for line in plain_lines:
-            print(line)
-
-
 def _scx_out(args, text: str, plain_lines_prefix: list[str]) -> list[str]:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -254,10 +235,8 @@ def _scx_out(args, text: str, plain_lines_prefix: list[str]) -> list[str]:
     return plain_lines_prefix + [text.rstrip("\n")]
 
 
-def _cmd_pi(args) -> int:
-    t0 = time.perf_counter()
-    K = _load_complex(args.file)
-    t1 = time.perf_counter()
+def _cmd_pi(args, report):
+    K = _load_complex(args.file, report)
     d_max, packing = max_disjoint_min_nonfaces(K)
     pi = d_max + 1
     r_checks = []
@@ -272,8 +251,8 @@ def _cmd_pi(args) -> int:
             ok, witness = is_r_unavoidable(K, r)
         else:
             ok, witness = is_rs_unavoidable(K, r, s)
-        r_checks.append({"r": r, "s": s, "verdict": ok, "witness": _witness_json(witness)})
-    t2 = time.perf_counter()
+        r_checks.append({"r": r, "s": s, "verdict": ok,
+                         "witness": None if witness is None else asdict(witness)})
     results = {
         "pi": pi,
         "D": d_max,
@@ -285,15 +264,11 @@ def _cmd_pi(args) -> int:
     for chk in r_checks:
         tag = f"({chk['r']},{chk['s']})-unavoidable" if chk["s"] else f"{chk['r']}-unavoidable"
         plain.append(f"{tag} = {str(chk['verdict']).lower()}")
-    _emit(args, "pi", {args.file: _digest(args.file)}, results,
-          {"parse_ms": (t1 - t0) * 1e3, "compute_ms": (t2 - t1) * 1e3}, plain)
-    return EXIT_OK
+    return results, plain, EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
-    K = _load_complex(args.file)
-    t1 = time.perf_counter()
+def _cmd_analyze(args, report):
+    K = _load_complex(args.file, report)
     pi = partition_number(K)
     dual = is_self_dual(K)
     results = {
@@ -311,41 +286,26 @@ def _cmd_analyze(args) -> int:
     if args.r is not None:
         ok, witness = is_r_unavoidable(K, args.r)
         results["unavoidable"] = ok
-        results["witness"] = _witness_json(witness)
+        results["witness"] = None if witness is None else asdict(witness)
         results["minimally_unavoidable"] = is_minimally_r_unavoidable(K, args.r)
         plain.append(f"r = {args.r}")
         plain.append(f"unavoidable = {str(ok).lower()}")
         plain.append(f"minimally_unavoidable = {str(results['minimally_unavoidable']).lower()}")
-    t2 = time.perf_counter()
-    _emit(args, "analyze", {args.file: _digest(args.file)}, results,
-          {"parse_ms": (t1 - t0) * 1e3, "compute_ms": (t2 - t1) * 1e3}, plain)
-    return EXIT_OK
+    return results, plain, EXIT_OK
 
 
-def _cmd_dual(args) -> int:
-    t0 = time.perf_counter()
-    K = _load_complex(args.file)
-    dual = alexander_dual(K)
-    t1 = time.perf_counter()
+def _cmd_dual(args, report):
+    dual = alexander_dual(_load_complex(args.file, report))
     if dual is VOID:
-        results = {"void": True, "scx": None}
-        plain = ["void"]
-    else:
-        text = format_scx(dual)
-        results = {"void": False, "scx": text}
-        plain = _scx_out(args, text, [])
-    _emit(args, "dual", {args.file: _digest(args.file)}, results,
-          {"total_ms": (t1 - t0) * 1e3}, plain)
-    return EXIT_OK
+        return {"void": True, "scx": None}, ["void"], EXIT_OK
+    text = format_scx(dual)
+    return {"void": False, "scx": text}, _scx_out(args, text, []), EXIT_OK
 
 
-def _cmd_realize(args) -> int:
-    t0 = time.perf_counter()
-    K = _load_complex(args.file)
+def _cmd_realize(args, report):
+    K = _load_complex(args.file, report)
     solver = linear_subcomplex_witness if args.relaxed else is_linearly_realizable
     verdict = solver(K, args.r, max_constraints=args.lp_cap)
-    t1 = time.perf_counter()
-    results = _verdict_json(verdict)
     plain = [f"feasible = {str(verdict.feasible).lower()}"]
     if verdict.margin is not None:
         plain.append(f"margin = {verdict.margin}")
@@ -353,39 +313,27 @@ def _cmd_realize(args) -> int:
         plain.append("witness = " + " ".join(str(w) for w in verdict.witness.weights))
     if verdict.infeasibility_note:
         plain.append(f"note = {verdict.infeasibility_note}")
-    _emit(args, "realize", {args.file: _digest(args.file)}, results,
-          {"total_ms": (t1 - t0) * 1e3}, plain)
-    return EXIT_OK
+    return _verdict_json(verdict), plain, EXIT_OK
 
 
-def _cmd_wh(args) -> int:
-    t0 = time.perf_counter()
-    K = _load_complex(args.file)
-    inputs = {args.file: _digest(args.file)}
+def _cmd_wh(args, report):
+    K = _load_complex(args.file, report)
     if args.canonical:
         try:
             F = selfdual_wh_realization(K)
         except ValueError as exc:
             raise InputError(str(exc)) from None
         results = weights_to_json(F)
-        plain = [json.dumps(results)]
-    else:
-        try:
-            with open(args.weights, "r", encoding="utf-8") as fh:
-                F = weights_from_json(json.load(fh))
-        except (OSError, ValueError, TypeError) as exc:
-            raise InputError(f"{args.weights}: {exc}") from None
-        inputs[args.weights] = _digest(args.weights)
-        ok = wh_realization_check(K, args.r, F)
-        results = {"verdict": ok}
-        plain = [f"verdict = {str(ok).lower()}"]
-    t1 = time.perf_counter()
-    _emit(args, "wh", inputs, results, {"total_ms": (t1 - t0) * 1e3}, plain)
-    return EXIT_OK
+        return results, [json.dumps(results)], EXIT_OK
+    try:
+        F = weights_from_json(json.loads(_read(args.weights, report)))
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{args.weights}: {exc}") from None
+    ok = wh_realization_check(K, args.r, F)
+    return {"verdict": ok}, [f"verdict = {str(ok).lower()}"], EXIT_OK
 
 
-def _cmd_gen(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gen(args, report):
     results: dict = {}
     if args.generator == "skeleton":
         K = skeleton(args.k, args.m)
@@ -402,50 +350,37 @@ def _cmd_gen(args) -> int:
                 allow_empty_classes=args.allow_empty_classes, budget=args.budget)
     text = format_scx(K)
     results["scx"] = text
-    t1 = time.perf_counter()
     plain: list[str] = []
     if "admissible" in results:
         plain.append(f"admissible = {str(results['admissible']).lower()}")
-    plain = _scx_out(args, text, plain)
-    _emit(args, "gen", {}, results, {"total_ms": (t1 - t0) * 1e3}, plain)
-    return EXIT_OK
+    return results, _scx_out(args, text, plain), EXIT_OK
 
 
-def _cmd_join(args) -> int:
-    t0 = time.perf_counter()
-    complexes = [_load_complex(path) for path in args.files]
+def _cmd_join(args, report):
+    complexes = [_load_complex(path, report) for path in args.files]
     K = complexes[0]
     for other in complexes[1:]:
         K = join(K, other)
     text = format_scx(K)
-    t1 = time.perf_counter()
-    _emit(args, "join", {path: _digest(path) for path in args.files},
-          {"scx": text}, {"total_ms": (t1 - t0) * 1e3}, _scx_out(args, text, []))
-    return EXIT_OK
+    return {"scx": text}, _scx_out(args, text, []), EXIT_OK
 
 
-def _cmd_deljoin(args) -> int:
-    t0 = time.perf_counter()
-    K = _load_complex(args.file)
+def _cmd_deljoin(args, report):
+    K = _load_complex(args.file, report)
     counts = deleted_join_faces(K, args.r, budget=args.budget)
-    t1 = time.perf_counter()
     results = {"f_vector": list(counts), "total": sum(counts)}
     plain = [f"f_vector = {list(counts)}", f"total = {sum(counts)}"]
-    _emit(args, "deljoin", {args.file: _digest(args.file)}, results,
-          {"total_ms": (t1 - t0) * 1e3}, plain)
-    return EXIT_OK
+    return results, plain, EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    t0 = time.perf_counter()
-    complexes = [_load_complex(path) for path in args.files]
+def _cmd_certify(args, report):
+    complexes = [_load_complex(path, report) for path in args.files]
     if args.single:
         if len(complexes) != 1:
             raise UsageError("--single takes exactly one complex")
         cert = certify_single_nonembeddable(complexes[0], args.r, args.d)
     else:
         cert = certify_join_nonembeddable(complexes, args.r, args.d)
-    t1 = time.perf_counter()
     plain = [cert.verdict]
     if cert.inequality is not None:
         plain.append(f"inequality: {cert.inequality.text} "
@@ -454,9 +389,7 @@ def _cmd_certify(args) -> int:
         plain.append(f"reason: {reason}")
     if cert.conclusion:
         plain.append(f"conclusion: {cert.conclusion}")
-    _emit(args, "certify", {path: _digest(path) for path in args.files},
-          cert.to_json(), {"total_ms": (t1 - t0) * 1e3}, plain)
-    return exit_code(cert)
+    return asdict(cert), plain, exit_code(cert)
 
 
 _COMMANDS = {
@@ -487,8 +420,11 @@ def run(argv) -> int:
     if args.command is None:
         print("error: a subcommand is required (see --help)", file=sys.stderr)
         return EXIT_USAGE
+    t0 = time.perf_counter()
+    report = {"command": args.command, "version": __version__, "inputs": {},
+              "results": None, "timings": {}}
     try:
-        return _COMMANDS[args.command](args)
+        report["results"], plain, code = _COMMANDS[args.command](args, report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -501,6 +437,13 @@ def run(argv) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    report["timings"]["total_ms"] = (time.perf_counter() - t0) * 1e3
+    if args.json:
+        print(json.dumps(report, indent=2))
+    else:
+        for line in plain:
+            print(line)
+    return code
 
 
 def main() -> None:

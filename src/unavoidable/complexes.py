@@ -31,7 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .bitsets import (
     MAX_GROUND_SET,
@@ -113,24 +113,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         """Dimension: largest facet size minus one (-1 for the complex {0})."""
         return max(facet.bit_count() for facet in self.facets) - 1
-
-    def iter_faces(self) -> Iterator[int]:
-        """All face masks, by ascending cardinality, lexicographic within a level."""
-        level = {0}
-        while level:
-            yield from sorted(level, key=elements)
-            nxt: set[int] = set()
-            free_all = full_mask(self.m)
-            for base in level:
-                for low in iter_singletons(free_all & ~base):
-                    cand = base | low
-                    if cand not in nxt and self.is_face(cand):
-                        nxt.add(cand)
-            level = nxt
-
-    def num_faces(self) -> int:
-        """Number of faces including the empty face."""
-        return sum(1 for _ in self.iter_faces())
 
     def __repr__(self) -> str:
         shown = [set(elements(f)) or "{}" for f in self.facets[:8]]
@@ -224,11 +206,6 @@ def from_facets(m: int, facets: Iterable[SubsetLike], *, verbose: bool = False) 
         facets=facets_sorted,
         min_nonfaces=_min_nonfaces_from_facets(m, facets_sorted),
     )
-
-
-def contains_face(K: SimplicialComplex, subset: SubsetLike) -> bool:
-    """True iff ``subset`` is a face of K."""
-    return K.is_face(subset)
 
 
 def alexander_dual(K: SimplicialComplex):

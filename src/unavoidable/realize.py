@@ -139,16 +139,6 @@ class GeometricMeasure:
         return self.value(full_mask(self.m))
 
 
-def wh_measure(F: WeightedHypergraph, subset: SubsetLike) -> Fraction:
-    """Superadditive measure of a weighted hypergraph on a subset."""
-    return F.value(subset)
-
-
-def geometric_measure(G: GeometricMeasure, subset: SubsetLike) -> Fraction:
-    """Minimum of the component measures on a subset."""
-    return G.value(subset)
-
-
 def superadditive_sublevel(nu, r: int) -> SimplicialComplex:
     """The sub-level complex {A : nu(A) <= nu([m]) / r} of a superadditive measure.
 

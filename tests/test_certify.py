@@ -1,6 +1,7 @@
 """Certificates: prime powers, index bounds, non-embeddability criteria."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -184,7 +185,7 @@ def test_no_certificate_without_verified_hypotheses():
 
 def test_certificate_json_shape():
     cert = certify_join_nonembeddable([points(5)] * 3, 3, 3)
-    obj = cert.to_json()
+    obj = asdict(cert)
     assert obj["kind"] == "join_nonembeddable"
     assert obj["verdict"] == "certified"
     assert obj["prime_power"] == {"r": 3, "p": 3, "k": 1}

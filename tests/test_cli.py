@@ -1,5 +1,6 @@
 """Command-line interface: golden examples, exit codes, deterministic JSON."""
 
+import hashlib
 import json
 
 import pytest
@@ -130,6 +131,15 @@ def test_gen_ramsey_with_admissibility(tmp_path, capsys):
     assert path.read_text().startswith("m 10\n")
 
 
+def test_gen_ramsey_no_empty_classes(capsys):
+    argv = ["gen", "ramsey", "--n", "5", "--clique", "3", "--r", "3", "--check-admissible"]
+    assert run(argv + ["--no-empty-classes"]) == 0
+    out, _ = _capture(capsys)
+    assert out.splitlines()[0] == "admissible = true"
+    assert run(argv + ["--allow-empty-classes"]) == 1  # the default needs no flag
+    capsys.readouterr()
+
+
 def test_join_command(points5, capsys):
     assert run(["join", points5, points5]) == 0
     out, _ = _capture(capsys)
@@ -213,6 +223,35 @@ GOLDEN = [
     ["--json", "deljoin", "{points5}", "--r", "2"],
     ["--json", "certify", "--r", "3", "--d", "3", "{points5}", "{points5}", "{points5}"],
 ]
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_report_inputs_are_file_digests_in_argument_order(points5, skel15, tmp_path, capsys):
+    assert run(["--json", "join", points5, points5, skel15]) == 0
+    report = json.loads(_capture(capsys)[0])
+    assert list(report["inputs"].items()) == [(points5, _sha256(points5)),
+                                              (skel15, _sha256(skel15))]
+
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"m": 5, "family": [[1, 2], [3, 4, 5]], "omega": ["1", "1/2"]}')
+    assert run(["--json", "wh", skel15, "--r", "2", "--weights", str(wfile)]) == 0
+    report = json.loads(_capture(capsys)[0])
+    assert list(report["inputs"].items()) == [(skel15, _sha256(skel15)),
+                                              (str(wfile), _sha256(wfile))]
+
+
+def test_report_timings_keys(points5, skel15, capsys):
+    for template in GOLDEN:
+        argv = [a.format(points5=points5, skel15=skel15) for a in template]
+        run(argv)
+        timings = json.loads(_capture(capsys)[0])["timings"]
+        expected = {"total_ms"} if argv[1] == "gen" else {"parse_ms", "total_ms"}
+        assert set(timings) == expected, argv
+        assert all(t >= 0 for t in timings.values()), argv
 
 
 def test_json_identical_across_processes_and_hash_seeds(points5, tmp_path):

@@ -13,7 +13,6 @@ from unavoidable import (
     ScxFormatError,
     VOID,
     alexander_dual,
-    contains_face,
     delete_facet,
     format_scx,
     from_facets,
@@ -127,11 +126,11 @@ def test_maximal_antichain_matches_pairwise_filter():
 
 def test_contains_face_examples():
     K = skeleton(1, 5)
-    assert contains_face(K, {1, 3})
-    assert not contains_face(K, {1, 2, 3})
-    assert contains_face(K, [])
+    assert K.is_face({1, 3})
+    assert not K.is_face({1, 2, 3})
+    assert K.is_face([])
     with pytest.raises(ValueError):
-        contains_face(K, {6})
+        K.is_face({6})
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ from unavoidable import (
     Measure,
     WeightedHypergraph,
     from_facets,
-    geometric_measure,
     is_linearly_realizable,
     is_r_unavoidable,
     is_self_dual,
@@ -31,7 +30,6 @@ from unavoidable import (
     superadditive_sublevel,
     weights_from_json,
     weights_to_json,
-    wh_measure,
     wh_realization_check,
 )
 from unavoidable.bitsets import full_mask
@@ -56,11 +54,11 @@ def _random_wh(rng: random.Random, m: int, max_members: int = 8) -> WeightedHype
 def test_wh_measure_examples():
     big_sets = [c for k in (3, 4, 5) for c in combinations(range(1, 6), k)]
     F = WeightedHypergraph(5, big_sets, [1] * len(big_sets))
-    assert wh_measure(F, {1, 2, 3, 4}) == 1
+    assert F.value({1, 2, 3, 4}) == 1
 
     singles = WeightedHypergraph(3, [[1], [2], [3]], [1, 2, 3])
-    assert wh_measure(singles, {1, 3}) == 4
-    assert wh_measure(singles, []) == 0
+    assert singles.value({1, 3}) == 4
+    assert singles.value([]) == 0
 
 
 def test_wh_measure_matches_exhaustive_packing():
@@ -127,9 +125,9 @@ def _example_53(q: int, p: int) -> GeometricMeasure:
 
 def test_geometric_measure_examples():
     G = _example_53(6, 3)
-    assert geometric_measure(G, {4, 5, 6}) == 0
-    assert geometric_measure(G, {1, 2}) == Fraction(1, 3)
-    assert geometric_measure(G, range(1, 7)) == 1
+    assert G.value({4, 5, 6}) == 0
+    assert G.value({1, 2}) == Fraction(1, 3)
+    assert G.value(range(1, 7)) == 1
 
 
 def test_geometric_superadditive():
