@@ -28,10 +28,9 @@ function, so values may be shared freely across threads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .bitsets import (
     MAX_GROUND_SET,
@@ -42,6 +41,7 @@ from .bitsets import (
     full_mask,
     iter_singletons,
 )
+from .errors import BudgetExceededError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -52,7 +52,10 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise TypeError("floating point rejected; pass an int, Fraction, or 'p/q' string")
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational value")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 class ScxFormatError(ValueError):
@@ -184,23 +187,19 @@ def _min_nonfaces_from_facets(m: int, facets: tuple[int, ...]) -> tuple[int, ...
     return tuple(sorted(out, key=elements))
 
 
-def from_facets(m: int, facets: Iterable[SubsetLike], *, verbose: bool = False) -> SimplicialComplex:
+def from_facets(m: int, facets: Iterable[SubsetLike]) -> SimplicialComplex:
     """Build a complex from generating faces.
 
-    The input list is deduplicated and reduced to its maximal elements (a
-    warning is emitted in verbose mode when that changes anything); minimal
-    non-faces are computed and cached.  The complex {0} is given as the single
-    empty facet; an empty facet list (the void family) is rejected.
+    The input list is deduplicated and reduced to its maximal elements;
+    minimal non-faces are computed and cached.  The complex {0} is given as
+    the single empty facet; an empty facet list (the void family) is rejected.
     """
     check_ground_set(m)
     masks = [as_mask(m, f) for f in facets]
     if not masks:
         raise ValueError("facet list is empty: the void complex cannot be represented "
                          "(give the complex {0} as the single empty facet)")
-    reduced = _maximal_antichain(masks)
-    if verbose and sorted(set(masks)) != reduced:
-        warnings.warn("facet list deduplicated and reduced to maximal elements")
-    facets_sorted = tuple(sorted(reduced, key=elements))
+    facets_sorted = tuple(sorted(_maximal_antichain(masks), key=elements))
     return SimplicialComplex(
         m=m,
         facets=facets_sorted,
@@ -342,25 +341,28 @@ class Measure:
         return cls(tuple(w))
 
 
-def _facets_of_closed_family(m: int, is_face: Callable[[int], bool]) -> list[int]:
-    """Facets of the downward-closed family {A : is_face(A)}.
+SWEEP_MAX_GROUND_SET = 22
 
-    ``is_face`` must be hereditary (monotone under taking subsets); local
-    maximality then coincides with global maximality.  Raises when even the
-    empty set fails the predicate, since the void family is not representable.
+
+def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
+    """The sub-level complex {A : nu(A) <= beta} of a monotone measure.
+
+    ``nu`` is anything with a ground-set size ``m`` and a monotone ``value``
+    on masks: a :class:`Measure`, or a ``WeightedHypergraph`` or
+    ``GeometricMeasure`` from :mod:`unavoidable.realize`.  Monotonicity makes
+    the family downward closed, so a face is a facet iff no one-vertex
+    extension is a face, and the faces are walked level by level from the
+    empty set.  Comparisons are exact rational; the walk visits every face,
+    so it is refused for m > SWEEP_MAX_GROUND_SET.
     """
-    cache: dict[int, bool] = {}
-
-    def cached(mask: int) -> bool:
-        hit = cache.get(mask)
-        if hit is None:
-            hit = cache[mask] = bool(is_face(mask))
-        return hit
-
-    if not cached(0):
-        raise ValueError("the family has no faces at all (void complex)")
-    full = full_mask(m)
+    threshold = as_fraction(beta)
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    if nu.m > SWEEP_MAX_GROUND_SET:
+        raise BudgetExceededError(f"sub-level sweeps support m <= {SWEEP_MAX_GROUND_SET}")
+    full = full_mask(nu.m)
     facets: list[int] = []
+    nonfaces: set[int] = set()
     level = {0}
     while level:
         nxt: set[int] = set()
@@ -368,32 +370,15 @@ def _facets_of_closed_family(m: int, is_face: Callable[[int], bool]) -> list[int
             grew = False
             for low in iter_singletons(full & ~base):
                 cand = base | low
-                if cand in nxt or cached(cand):
+                if cand in nxt or (cand not in nonfaces and nu.value(cand) <= threshold):
                     nxt.add(cand)
                     grew = True
+                else:
+                    nonfaces.add(cand)
             if not grew:
                 facets.append(base)
         level = nxt
-    return facets
-
-
-def sublevel_complex(mu: Measure, beta: RationalLike, strict: bool = False) -> SimplicialComplex:
-    """The sub-level complex {A : mu(A) <= beta} (or < beta when strict).
-
-    Downward closed because mu is monotone; comparisons are exact rational.
-    """
-    threshold = as_fraction(beta)
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    if strict:
-        pred = lambda mask: mu.value(mask) < threshold  # noqa: E731
-    else:
-        pred = lambda mask: mu.value(mask) <= threshold  # noqa: E731
-    try:
-        facets = _facets_of_closed_family(mu.m, pred)
-    except ValueError:
-        raise ValueError("sub-level family is void (threshold excludes the empty set)") from None
-    return from_facets(mu.m, facets)
+    return from_facets(nu.m, facets)
 
 
 # --- .scx text format ------------------------------------------------------
@@ -446,13 +431,3 @@ def parse_scx(text: str) -> SimplicialComplex:
         return from_facets(m, facets)
     except (TypeError, ValueError) as exc:
         raise ScxFormatError(str(exc)) from None
-
-
-def load_scx(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scx(fh.read())
-
-
-def dump_scx(K: SimplicialComplex, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_scx(K))

@@ -191,7 +191,8 @@ def weighted_majority_complex(weights) -> SimplicialComplex:
     if total % 2 == 0:
         raise ValueError("total weight must be odd (ties would break self-duality)")
     mu = Measure(tuple(Fraction(w) for w in ws))
-    return sublevel_complex(mu, Fraction(total, 2), strict=True)
+    # An odd total is never met exactly, so "<= total/2" is "< total/2".
+    return sublevel_complex(mu, Fraction(total, 2))
 
 
 def random_selfdual(m: int, seed: int) -> SimplicialComplex:

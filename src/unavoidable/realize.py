@@ -33,9 +33,7 @@ from .complexes import (
     Measure,
     RationalLike,
     SimplicialComplex,
-    _facets_of_closed_family,
     as_fraction,
-    from_facets,
     sublevel_complex,
 )
 from .errors import BudgetExceededError
@@ -44,7 +42,6 @@ from .partitions import is_r_unavoidable
 
 WH_MAX_GROUND_SET = 22
 WH_MAX_FAMILY = 4096
-SWEEP_MAX_GROUND_SET = 22
 DEFAULT_LP_CONSTRAINT_CAP = 100_000
 
 ZERO = Fraction(0)
@@ -148,14 +145,10 @@ def superadditive_sublevel(nu, r: int) -> SimplicialComplex:
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    if nu.m > SWEEP_MAX_GROUND_SET:
-        raise BudgetExceededError(f"sub-level sweeps support m <= {SWEEP_MAX_GROUND_SET}")
     alpha = nu.total
     if alpha <= 0:
         raise ValueError("total mass must be positive")
-    threshold = alpha / r
-    facets = _facets_of_closed_family(nu.m, lambda mask: nu.value(mask) <= threshold)
-    K = from_facets(nu.m, facets)
+    K = sublevel_complex(nu, alpha / r)
     if not is_r_unavoidable(K, r)[0]:
         raise RuntimeError("sub-level complex of a superadditive measure is not r-unavoidable")
     return K

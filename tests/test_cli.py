@@ -115,6 +115,14 @@ def test_wh_canonical_and_check(skel15, tmp_path, capsys):
     assert "verdict = true" in out
 
 
+def test_wh_weights_zero_denominator_is_input_error(skel15, tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"m": 5, "family": [[1]], "omega": ["1/0"]}))
+    assert run(["wh", skel15, "--r", "2", "--weights", str(wfile)]) == 2
+    _, err = _capture(capsys)
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_wh_canonical_rejects_non_selfdual(points5, capsys):
     assert run(["wh", points5, "--canonical"]) == 2
     _, err = _capture(capsys)
@@ -190,6 +198,12 @@ def test_budget_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run(["realize", str(skel), "--r", "2", "--lp-cap", "3"]) == 5
     capsys.readouterr()
+
+
+def test_gen_selfdual_sweep_cap_exit_code(capsys):
+    assert run(["gen", "selfdual", "--m", "23", "--seed", "0"]) == 5
+    _, err = _capture(capsys)
+    assert "m <= 22" in err
 
 
 def test_global_flags_accepted_after_subcommand(points5, capsys):

@@ -69,8 +69,6 @@ def test_facet_reduction_and_errors():
         from_facets(3, [[4]])
     with pytest.raises(ValueError):
         from_facets(0, [[]])
-    with pytest.warns(UserWarning):
-        from_facets(3, [[1], [1, 2]], verbose=True)
 
 
 def test_ground_set_limits():
@@ -282,13 +280,11 @@ def test_sublevel_monotone_in_threshold():
         lo = brute_faces(sublevel_complex(mu, betas[0]))
         hi = brute_faces(sublevel_complex(mu, betas[1]))
         assert lo <= hi
-        strict = brute_faces(sublevel_complex(mu, betas[1], strict=True))
-        assert strict <= hi
 
 
-def test_sublevel_strict_void_rejected():
+def test_sublevel_negative_threshold_rejected():
     with pytest.raises(ValueError):
-        sublevel_complex(Measure.uniform(3), 0, strict=True)
+        sublevel_complex(Measure.uniform(3), Fraction(-1, 3))
 
 
 def test_measure_validation():

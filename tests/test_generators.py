@@ -169,6 +169,19 @@ def test_weighted_majority_examples():
         weighted_majority_complex([0, 1])
 
 
+def test_weighted_majority_matches_brute_force():
+    # Odd totals are never met exactly, so the non-strict sub-level complex
+    # at total/2 is the strict one.
+    rng = random.Random(163)
+    for _ in range(60):
+        ws = [rng.randint(1, 9) for _ in range(rng.randint(1, 7))]
+        if sum(ws) % 2 == 0:
+            ws[0] += 1
+        want = {a for a in range(1 << len(ws))
+                if 2 * sum(w for i, w in enumerate(ws) if a >> i & 1) < sum(ws)}
+        assert brute_faces(weighted_majority_complex(ws)) == want
+
+
 def test_random_selfdual_always_self_dual_and_deterministic():
     for seed in range(25):
         m = 1 + seed % 7

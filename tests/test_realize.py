@@ -34,7 +34,7 @@ from unavoidable import (
 )
 from unavoidable.bitsets import full_mask
 
-from oracles import oracle_wh_measure, random_complex
+from oracles import brute_faces, oracle_wh_measure, random_complex
 
 
 def _random_wh(rng: random.Random, m: int, max_members: int = 8) -> WeightedHypergraph:
@@ -160,6 +160,22 @@ def test_superadditive_sublevel_union_identity():
     u2 = sublevel_complex(G.components[1], Fraction(1, 2))
     union = from_facets(6, list(u1.facets) + list(u2.facets))
     assert K == union
+
+
+def test_sublevel_complex_of_nonadditive_measures_matches_brute_force():
+    rng = random.Random(62)
+    for _ in range(40):
+        m = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            nu = _random_wh(rng, m)
+        else:
+            nu = GeometricMeasure(tuple(
+                Measure(tuple(Fraction(rng.randint(0, 4) + (1 if i == 0 else 0), rng.randint(1, 3))
+                              for i in range(m)))
+                for _ in range(rng.randint(1, 3))))
+        beta = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        want = {a for a in range(1 << m) if nu.value(a) <= beta}
+        assert brute_faces(sublevel_complex(nu, beta)) == want
 
 
 def test_superadditive_sublevel_additive_case_recovers_linear():
@@ -382,3 +398,10 @@ def test_weights_json_round_trip():
 def test_measure_json_round_trip():
     mu = Measure((Fraction(1, 2), Fraction(1, 2)))
     assert measure_from_json(measure_to_json(mu)) == mu
+
+
+def test_json_weights_reject_zero_denominator():
+    with pytest.raises(ValueError):
+        measure_from_json({"weights": ["1/0"]})
+    with pytest.raises(ValueError):
+        weights_from_json({"m": 2, "family": [[1]], "omega": ["1/0"]})
