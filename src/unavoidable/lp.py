@@ -1,9 +1,22 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex with Bland's rule: every coefficient is a
-:class:`fractions.Fraction`, so termination is guaranteed and optima are
-exact.  Problem sizes in this package are tiny (tens of rows), which makes
-the dense tableau the simplest correct choice.
+A dense two-phase simplex with Bland's rule, so termination is guaranteed
+and optima are exact.  The tableau is fraction-free: each input row is
+multiplied by the lcm ``s_i`` of its denominators, and every cell is a Python
+``int`` over one common positive denominator ``d``, the determinant of the
+current basis.  A pivot on ``p = M[r][c]`` sets every other row to
+``(p*row - row[c]*M[r]) // d``, a division that is exact (Edmonds 1967;
+Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968), and then ``d = p``.  Problem sizes in this package are
+small (tens of rows), which makes the dense tableau the simplest correct
+choice.
+
+Scaling row i by ``s_i`` while its slack and artificial columns keep the
+coefficients +-1 scales those variables by ``s_i``; the phase-1 objective
+weighs artificial i by ``L / s_i`` (``L`` the lcm of the ``s_i``) so that it
+stays the sum of the unscaled artificials.  Positive scalings change neither
+the signs of reduced costs nor the order of ratios, so Bland's rule takes the
+pivots of the rational tableau, and results are scaled back exactly.
 
 ``maximize`` solves  max c.x  subject to  x >= 0  and mixed <= / >= / ==
 rows.  Besides the optimum it reports dual multipliers per row, and on an
@@ -13,6 +26,7 @@ direction callers turn into infeasibility certificates for the dual side).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,36 +46,44 @@ class LpResult:
     ray: Optional[tuple[Fraction, ...]]  # improving direction when unbounded
 
 
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
+
+
 def maximize(
     objective: Sequence[Fraction],
     rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
 ) -> LpResult:
     n = len(objective)
-    c = [Fraction(v) for v in objective]
+    c, c_scale = _integer_row(objective)
 
-    # Normalize rows to rhs >= 0, then allocate slack / artificial columns.
-    norm: list[tuple[list[Fraction], str, Fraction, bool]] = []
+    # Scale rows to integers and normalize them to rhs >= 0, then allocate
+    # slack / artificial columns.
+    norm: list[tuple[list[int], str, int, bool, int]] = []
     for coeffs, sense, rhs in rows:
         if len(coeffs) != n:
             raise ValueError("row length does not match objective length")
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
+        coeffs, scale = _integer_row([*coeffs, rhs])
+        rhs = coeffs.pop()
         flipped = False
         if rhs < 0 or (rhs == 0 and sense == GE):
             coeffs = [-v for v in coeffs]
             rhs = -rhs
             sense = {LE: GE, GE: LE, EQ: EQ}[sense]
             flipped = True
-        norm.append((coeffs, sense, rhs, flipped))
+        norm.append((coeffs, sense, rhs, flipped, scale))
 
     n_rows = len(norm)
     next_col = n
     slack_col = [-1] * n_rows
     art_col = [-1] * n_rows
     dual_col = [-1] * n_rows
-    for i, (_, sense, _, _) in enumerate(norm):
+    for i, (_, sense, _, _, _) in enumerate(norm):
         if sense == LE:
             slack_col[i] = next_col
             dual_col[i] = next_col
@@ -81,42 +103,50 @@ def maximize(
     for a in art_col:
         if a >= 0:
             artificial[a] = True
+    # The factor by which each column's variable is scaled.
+    col_scale = [1] * cols
+    for i, (_, _, _, _, scale) in enumerate(norm):
+        for j in (slack_col[i], art_col[i]):
+            if j >= 0:
+                col_scale[j] = scale
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (coeffs, sense, rhs, _) in enumerate(norm):
-        row = coeffs + [ZERO] * (cols - n) + [rhs]
+    for i, (coeffs, sense, rhs, _, _) in enumerate(norm):
+        row = coeffs + [0] * (cols - n) + [rhs]
         if sense == LE:
-            row[slack_col[i]] = ONE
+            row[slack_col[i]] = 1
             basis.append(slack_col[i])
         elif sense == GE:
-            row[slack_col[i]] = -ONE
-            row[art_col[i]] = ONE
+            row[slack_col[i]] = -1
+            row[art_col[i]] = 1
             basis.append(art_col[i])
         else:
-            row[art_col[i]] = ONE
+            row[art_col[i]] = 1
             basis.append(art_col[i])
         tableau.append(row)
 
-    z2 = [-v for v in c] + [ZERO] * (cols - n) + [ZERO]
+    z2 = [-v for v in c] + [0] * (cols - n) + [0]
+    d = 1  # common denominator of every row, objective rows included
 
-    def pivot(row_idx: int, col: int, z_rows: list[list[Fraction]]) -> None:
-        row = tableau[row_idx]
-        piv = row[col]
-        if piv != ONE:
-            inv = ONE / piv
-            tableau[row_idx] = row = [v * inv for v in row]
+    def pivot(row_idx: int, col: int, z_rows: list[list[int]]) -> None:
+        nonlocal d
+        prow = tableau[row_idx]
+        p = prow[col]
         for other in tableau + z_rows:
-            if other is row:
+            if other is prow:
                 continue
-            factor = other[col]
-            if factor:
-                for j in range(cols + 1):
-                    if row[j]:
-                        other[j] -= factor * row[j]
+            f = other[col]
+            if f or p != d:
+                other[:] = [(p * a - f * b) // d for a, b in zip(other, prow)]
+        if p < 0:  # only a drive-out pivot can be negative; keep d > 0
+            for other in tableau + z_rows:
+                other[:] = [-v for v in other]
+            p = -p
+        d = p
         basis[row_idx] = col
 
-    def run_simplex(z: list[list[Fraction]], allow_art: bool) -> tuple[str, int]:
+    def run_simplex(z: list[list[int]], allow_art: bool) -> tuple[str, int]:
         # Bland's rule: entering = lowest eligible column, leaving = lowest
         # basic variable among minimum-ratio rows.  Guarantees termination.
         zrow = z[0]
@@ -131,45 +161,50 @@ def maximize(
             if enter < 0:
                 return "optimal", -1
             leave = -1
-            best_ratio: Optional[Fraction] = None
             for i, row in enumerate(tableau):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[cols] / a
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leave]
-                    ):
-                        best_ratio = ratio
+                    # Compare row[cols] / a with the best ratio by cross-multiplying.
+                    if leave < 0:
+                        leave = i
+                        continue
+                    best = tableau[leave]
+                    lhs, rhs = row[cols] * best[enter], best[cols] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return "unbounded", enter
             pivot(leave, enter, z)
 
-    def dual_values(zrow: list[Fraction]) -> tuple[Fraction, ...]:
+    def dual_values(zrow: list[int], z_scale: int) -> tuple[Fraction, ...]:
         out = [ZERO] * n_rows
         for i in range(n_rows):
-            y = zrow[dual_col[i]]
+            j = dual_col[i]
+            y = Fraction(zrow[j] * col_scale[j], d * z_scale)
             out[i] = -y if norm[i][3] else y
         return tuple(out)
 
-    # Phase 1: drive the artificial variables to zero.
+    # Phase 1: drive the artificial variables to zero.  Artificial i stands
+    # for s_i times the unscaled one, so it weighs L / s_i.
     if any(a >= 0 for a in art_col):
-        z1 = [ZERO] * (cols + 1)
+        z1_scale = math.lcm(*(col_scale[a] for a in art_col if a >= 0))
+        z1 = [0] * (cols + 1)
         for a in art_col:
             if a >= 0:
-                z1[a] = ONE
+                z1[a] = z1_scale // col_scale[a]
         for i, b in enumerate(basis):
             if artificial[b]:
+                w = z1[b]
                 row = tableau[i]
                 for j in range(cols + 1):
                     if row[j]:
-                        z1[j] -= row[j]
+                        z1[j] -= w * row[j]
         # Phase 1 updates both objective rows so phase 2 can start directly.
         status, _ = run_simplex([z1, z2], True)
         if status == "unbounded":  # phase-1 objective is bounded by construction
             raise RuntimeError("phase 1 reported unbounded; tableau is corrupt")
         if z1[cols] != 0:
-            return LpResult("infeasible", None, None, dual_values(z1), None)
+            return LpResult("infeasible", None, None, dual_values(z1, z1_scale), None)
         # Drive leftover basic artificials out; drop redundant rows.
         for i in range(n_rows - 1, -1, -1):
             if i >= len(basis) or not artificial[basis[i]]:
@@ -190,11 +225,12 @@ def maximize(
             ray[enter] = ONE
         for i, b in enumerate(basis):
             if b < n:
-                ray[b] = -tableau[i][enter]
+                ray[b] = Fraction(-tableau[i][enter] * col_scale[enter], d)
         return LpResult("unbounded", None, None, None, tuple(ray))
 
     x = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tableau[i][cols]
-    return LpResult("optimal", z2[cols], tuple(x), dual_values(z2), None)
+            x[b] = Fraction(tableau[i][cols], d)
+    return LpResult("optimal", Fraction(z2[cols], d * c_scale), tuple(x),
+                    dual_values(z2, c_scale), None)

@@ -210,11 +210,11 @@ def _solve_margin_lp(m: int, upper: Sequence[int], lower: Sequence[int], r: int,
     rows = []
     for i in range(m):
         bit = 1 << i
-        coeffs = [ONE, -ONE]
-        coeffs += [ONE if fs & bit else ZERO for fs in upper]
-        coeffs += [-ONE if ns & bit else ZERO for ns in lower]
-        rows.append((coeffs, ">=", ZERO))
-    rows.append(([ZERO, ZERO] + [ZERO] * nf + [ONE] * nn, "==", ONE))
+        coeffs = [1, -1]
+        coeffs += [1 if fs & bit else 0 for fs in upper]
+        coeffs += [-1 if ns & bit else 0 for ns in lower]
+        rows.append((coeffs, ">=", 0))
+    rows.append(([0, 0] + [0] * nf + [1] * nn, "==", 1))
     res = maximize(objective, rows)
 
     if res.status == "optimal":

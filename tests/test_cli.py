@@ -216,6 +216,20 @@ def test_global_flags_accepted_after_subcommand(points5, capsys):
     assert json.loads(_capture(capsys)[0])["results"]["scx"].startswith("m 3")
 
 
+def test_repeat_runs_in_one_process_leave_no_state(points5, capsys):
+    assert run(["pi", points5, "--check", "3", "--json"]) == 0
+    assert len(json.loads(_capture(capsys)[0])["results"]["r_checks"]) == 1
+    assert run(["pi", points5, "--json"]) == 0
+    assert json.loads(_capture(capsys)[0])["results"]["r_checks"] == []
+    assert run(["pi", points5]) == 0  # --json is not remembered either
+    assert _capture(capsys)[0].splitlines()[0] == "pi = 3"
+    for _ in range(2):
+        assert run(["--help"]) == 0
+        assert _capture(capsys)[0].startswith("usage: unavoidable")
+        assert run(["pi", points5, "--frobnicate"]) == 1
+        assert _capture(capsys)[1].startswith("error: unrecognized arguments")
+
+
 def test_schema_flag(capsys):
     assert run(["--schema"]) == 0
     out, _ = _capture(capsys)

@@ -1,5 +1,6 @@
 """Exact simplex solver: textbook cases, degeneracy, duals."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -113,3 +114,46 @@ def test_redundant_equalities_survive_phase1():
     assert res.status == "optimal"
     assert res.objective == 2
     assert res.x == (F(2), F(0))
+
+
+def _random_rational_lp(rng):
+    def value():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 5, 7, 12]))
+
+    n = rng.randint(1, 5)
+    c = [value() for _ in range(n)]
+    rows = [([value() for _ in range(n)], rng.choice(["<=", ">=", "=="]), value())
+            for _ in range(rng.randint(1, 5))]
+    return c, rows
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def _satisfies(lhs, sense, rhs):
+    return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
+
+
+def test_certificates_on_random_rational_instances():
+    # Rational data makes every row, and the objective, take the scaling
+    # paths: duals and rays are read from scaled columns and scaled back.
+    rng = random.Random(31415)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(1200):
+        c, rows = _random_rational_lp(rng)
+        res = maximize(c, rows)
+        seen[res.status] += 1
+        if res.status == "optimal":
+            assert all(v >= 0 for v in res.x) and _dot(c, res.x) == res.objective
+            assert all(_satisfies(_dot(a, res.x), sense, b) for a, sense, b in rows)
+            for (_, sense, _), y in zip(rows, res.duals):
+                if sense != "==":
+                    assert y >= 0 if sense == "<=" else y <= 0
+            for j in range(len(c)):
+                assert sum((a[j] * y for (a, _, _), y in zip(rows, res.duals)), F(0)) >= c[j]
+            assert _dot([b for _, _, b in rows], res.duals) == res.objective
+        elif res.status == "unbounded":
+            assert all(v >= 0 for v in res.ray) and _dot(c, res.ray) > 0
+            assert all(_satisfies(_dot(a, res.ray), sense, 0) for a, sense, _ in rows)
+    assert all(count >= 100 for count in seen.values()), seen

@@ -12,6 +12,7 @@ from unavoidable import (
     GeometricMeasure,
     Measure,
     WeightedHypergraph,
+    contains_clique,
     from_facets,
     is_linearly_realizable,
     is_r_unavoidable,
@@ -23,6 +24,7 @@ from unavoidable import (
     pi_upper_bound,
     points,
     prune_zero_weights,
+    ramsey_complex,
     random_selfdual,
     selfdual_wh_realization,
     skeleton,
@@ -315,6 +317,54 @@ def test_margin_is_exact_optimum():
     # skeleton(1,5) at r=2: margin 3/5 - 1/2 = 1/10.
     v = is_linearly_realizable(skeleton(1, 5), 2)
     assert v.margin == Fraction(1, 10)
+
+
+# Margins, witnesses and the Farkas note of the margin LP as the dense
+# Fraction tableau gave them.  Bland's rule must take the same pivots on any
+# tableau representation, so the optimal vertex and its witness stay these.
+PINNED_SELFDUAL_MARGIN_LP = {
+    9: ("1/146",
+        "9/73 9/73 2/73 5/73 12/73 11/73 8/73 6/73 11/73"),
+    10: ("1/230",
+        "13/115 13/115 2/115 9/115 16/115 3/23 12/115 9/115 3/23 11/115"),
+    11: ("1/282",
+        "13/141 14/141 2/141 3/47 17/141 16/141 13/141 10/141 16/141 4/47 19/141"),
+}
+K6_FARKAS_NOTE = (
+    "constraint system is contradictory: the listed nonnegative combination of constraints "
+    "sums to an impossibility; "
+    "total-mass x -8; "
+    "facet (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12) x 1; "
+    "facet (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14) x 1; "
+    "facet (1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14, 15) x 1; "
+    "facet (1, 2, 3, 4, 5, 7, 8, 10, 11, 13, 14, 15) x 1; "
+    "facet (1, 2, 3, 4, 5, 8, 9, 11, 12, 13, 14, 15) x 1; "
+    "facet (1, 2, 4, 6, 7, 8, 9, 10, 11, 12, 13, 15) x 1; "
+    "facet (1, 3, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15) x 1; "
+    "facet (1, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15) x 1; "
+    "facet (2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 15) x 1; "
+    "facet (2, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15) x 1"
+)
+
+
+def test_margin_lp_pivot_path_is_pinned():
+    for m, (margin, witness) in PINNED_SELFDUAL_MARGIN_LP.items():
+        v = is_linearly_realizable(random_selfdual(m, 0), 2)
+        assert v.feasible and str(v.margin) == margin, m
+        assert " ".join(str(w) for w in v.witness.weights) == witness, m
+    v = linear_subcomplex_witness(skeleton(3, 9), 2)
+    assert v.margin == Fraction(1, 18)
+    assert v.witness.weights == (Fraction(1, 9),) * 9
+    K6, _ = ramsey_complex(6, contains_clique(3))
+    assert is_linearly_realizable(K6, 2).infeasibility_note == K6_FARKAS_NOTE
+
+
+def test_margin_lp_decides_large_examples():
+    # About 12 s and 6 s on the dense Fraction tableau; well under 1 s each
+    # on the fraction-free one.
+    assert is_linearly_realizable(skeleton(4, 11), 2).margin == Fraction(1, 22)
+    K6, _ = ramsey_complex(6, contains_clique(3))
+    assert linear_subcomplex_witness(K6, 2).margin == Fraction(-1, 10)
 
 
 def test_lp_constraint_cap():
