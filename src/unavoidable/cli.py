@@ -241,11 +241,11 @@ def _cmd_pi(args, report):
     pi = d_max + 1
     r_checks = []
     for check_text in args.check:
-        parts = check_text.split(":")
+        r_text, colon, s_text = check_text.partition(":")
         try:
-            r = int(parts[0])
-            s = int(parts[1]) if len(parts) > 1 else None
-        except (ValueError, IndexError):
+            r = int(r_text)
+            s = int(s_text) if colon else None
+        except ValueError:
             raise UsageError(f"bad --check value {check_text!r}; use R or R:S") from None
         if s is None:
             ok, witness = is_r_unavoidable(K, r)

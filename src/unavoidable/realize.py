@@ -16,8 +16,10 @@ feasible exactly when the margin LP
 
 has positive optimum.  The LP is solved exactly in rationals through its
 dual (m+1 rows instead of one row per facet and non-face), and every verdict
-is re-verified by direct evaluation: optimal witnesses must satisfy each
-constraint and match the optimum, infeasible outcomes must come with a valid
+is checked once, exactly: an optimal witness is scaled to integers over one
+common denominator and must be a probability, keep every facet at most 1/r
+and reach the optimum on its lightest non-face (a zero duality gap, which
+bounds every non-face); an infeasible outcome must come with a valid
 nonnegative combination of constraints that is contradictory.
 """
 
@@ -34,6 +36,7 @@ from .complexes import (
     RationalLike,
     SimplicialComplex,
     as_fraction,
+    is_self_dual,
     sublevel_complex,
 )
 from .errors import BudgetExceededError
@@ -181,20 +184,28 @@ class LpVerdict:
     infeasibility_note: Optional[str]
 
 
-def _format_weighted(label_weights: list[tuple[str, Fraction]], limit: int = 24) -> str:
-    shown = [f"{label} x {weight}" for label, weight in label_weights[:limit]]
-    if len(label_weights) > limit:
-        shown.append(f"... ({len(label_weights) - limit} more)")
+def _dual_note(upper: Sequence[int], lower: Sequence[int], y: Sequence[Fraction],
+               limit: int = 24) -> str:
+    """The nonzero weights of a dual vector or Farkas ray (y1, y2, u_F..., v_N...)
+    of the margin LP, labelled by the constraint each one multiplies."""
+    nf = len(upper)
+    labels = [("total-mass", y[0] - y[1])] if y[0] != y[1] else []
+    labels += [(f"facet {elements(fs)}", w) for fs, w in zip(upper, y[2:2 + nf]) if w]
+    labels += [(f"non-face {elements(ns)}", w) for ns, w in zip(lower, y[2 + nf:]) if w]
+    shown = [f"{label} x {weight}" for label, weight in labels[:limit]]
+    if len(labels) > limit:
+        shown.append(f"... ({len(labels) - limit} more)")
     return "; ".join(shown)
 
 
 def _solve_margin_lp(m: int, upper: Sequence[int], lower: Sequence[int], r: int,
-                     cap: int = DEFAULT_LP_CONSTRAINT_CAP):
+                     cap: int = DEFAULT_LP_CONSTRAINT_CAP) -> LpVerdict:
     """Solve  max eps : sum mu = 1, mu >= 0, mu(F) <= 1/r, mu(N) >= 1/r + eps.
 
-    Returns ("optimal", eps, mu, note_weights) or ("infeasible", None, None,
-    note_weights); notes carry exact dual/Farkas weights, already verified.
-    Solved through the LP dual, whose rows number m+1.
+    Solved through the LP dual, whose rows number m+1.  The verdict is
+    feasible with witness mu when eps > 0; otherwise its note lists the exact
+    dual weights (margin <= 0) or Farkas weights (contradictory system).
+    Both are verified here, so callers need not re-check them.
     """
     if not lower:
         raise ValueError("margin LP needs at least one lower (non-face) constraint")
@@ -205,7 +216,6 @@ def _solve_margin_lp(m: int, upper: Sequence[int], lower: Sequence[int], r: int,
     nf, nn = len(upper), len(lower)
     # Dual variables: y1, y2 (split of the free total-mass multiplier),
     # u_F >= 0 per upper set, v_N >= 0 per lower set.
-    n_dual = 2 + nf + nn
     objective = [-ONE, ONE] + [-inv_r] * nf + [inv_r] * nn
     rows = []
     for i in range(m):
@@ -220,21 +230,26 @@ def _solve_margin_lp(m: int, upper: Sequence[int], lower: Sequence[int], r: int,
     if res.status == "optimal":
         eps = -res.objective
         mu = tuple(-d for d in res.duals[:m])
-        if any(w < 0 for w in mu) or sum(mu) != 1:
+        # mu = w / D in integers: a probability, every upper set at most 1/r,
+        # and the least lower set at exactly 1/r + eps (zero duality gap),
+        # which bounds every lower set.
+        D = math.lcm(*(x.denominator for x in mu))
+        w = [x.numerator * (D // x.denominator) for x in mu]
+
+        def weight(mask: int) -> int:
+            return sum(w[v - 1] for v in elements(mask))
+
+        if any(x < 0 for x in w) or sum(w) != D:
             raise RuntimeError("LP postcondition failed: recovered measure is not a probability")
-        for fs in upper:
-            if sum(mu[v - 1] for v in elements(fs)) > inv_r:
-                raise RuntimeError("LP postcondition failed: an upper constraint is violated")
-        achieved = min(sum(mu[v - 1] for v in elements(ns)) for ns in lower) - inv_r
-        if achieved != eps:
+        if any(r * weight(fs) > D for fs in upper):
+            raise RuntimeError("LP postcondition failed: an upper constraint is violated")
+        if Fraction(min(weight(ns) for ns in lower), D) - inv_r != eps:
             raise RuntimeError("LP postcondition failed: duality gap is nonzero")
-        y1, y2 = res.x[0], res.x[1]
-        u = res.x[2:2 + nf]
-        v = res.x[2 + nf:]
-        labels = [("total-mass", y1 - y2)] if y1 != y2 else []
-        labels += [(f"facet {elements(fs)}", w) for fs, w in zip(upper, u) if w]
-        labels += [(f"non-face {elements(ns)}", w) for ns, w in zip(lower, v) if w]
-        return "optimal", eps, mu, labels
+        if eps > 0:
+            return LpVerdict(True, Measure(mu), eps, None)
+        return LpVerdict(False, None, eps,
+                         f"optimal margin {eps} <= 0: the listed dual weights cap the margin; "
+                         + _dual_note(upper, lower, res.x))
 
     if res.status == "unbounded":
         ray = res.ray
@@ -256,10 +271,10 @@ def _solve_margin_lp(m: int, upper: Sequence[int], lower: Sequence[int], r: int,
         drop = y1d - y2d + inv_r * (sum(ud, ZERO) - sum(vd, ZERO))
         if drop >= 0:
             raise RuntimeError("LP postcondition failed: Farkas ray does not improve")
-        labels = [("total-mass", y1d - y2d)] if y1d != y2d else []
-        labels += [(f"facet {elements(fs)}", w) for fs, w in zip(upper, ud) if w]
-        labels += [(f"non-face {elements(ns)}", w) for ns, w in zip(lower, vd) if w]
-        return "infeasible", None, None, labels
+        return LpVerdict(False, None, None,
+                         "constraint system is contradictory: the listed nonnegative "
+                         "combination of constraints sums to an impossibility; "
+                         + _dual_note(upper, lower, ray))
 
     raise RuntimeError(f"margin LP ended in unexpected status {res.status!r}")
 
@@ -273,8 +288,6 @@ def is_linearly_realizable(K: SimplicialComplex, r: int, *,
     Complexes that are not r-unavoidable are never realizable and
     short-circuit without solving.
     """
-    if r < 2:
-        raise ValueError("r must be at least 2")
     unavoidable, _ = is_r_unavoidable(K, r)
     if not unavoidable:
         return LpVerdict(False, None, None,
@@ -284,21 +297,8 @@ def is_linearly_realizable(K: SimplicialComplex, r: int, *,
         return LpVerdict(False, None, None,
                          "the full simplex is never realizable: the whole ground set is a face "
                          f"of weight 1 > 1/{r}")
-    upper = [f for f in K.facets if f]
-    status, eps, mu, labels = _solve_margin_lp(K.m, upper, K.min_nonfaces, r,
-                                               cap=max_constraints)
-    if status == "infeasible":
-        return LpVerdict(False, None, None,
-                         "constraint system is contradictory: the listed nonnegative "
-                         "combination of constraints sums to an impossibility; "
-                         + _format_weighted(labels))
-    witness = Measure(mu)
-    if eps > 0:
-        _verify_realization(K, witness, r, eps)
-        return LpVerdict(True, witness, eps, None)
-    return LpVerdict(False, None, eps,
-                     f"optimal margin {eps} <= 0: the listed dual weights cap the margin; "
-                     + _format_weighted(labels))
+    return _solve_margin_lp(K.m, [f for f in K.facets if f], K.min_nonfaces, r,
+                            cap=max_constraints)
 
 
 def linear_subcomplex_witness(K: SimplicialComplex, r: int, *,
@@ -313,34 +313,16 @@ def linear_subcomplex_witness(K: SimplicialComplex, r: int, *,
         raise ValueError("r must be at least 2")
     if not K.min_nonfaces:
         return LpVerdict(True, Measure.uniform(K.m), None, None)
-    status, eps, mu, labels = _solve_margin_lp(K.m, (), K.min_nonfaces, r,
-                                               cap=max_constraints)
-    if status == "infeasible":  # cannot happen: eps is free in the primal
+    verdict = _solve_margin_lp(K.m, (), K.min_nonfaces, r, cap=max_constraints)
+    if verdict.margin is None:  # cannot happen: eps is free in the primal
         raise RuntimeError("relaxed margin LP reported infeasible")
-    witness = Measure(mu)
-    if eps > 0:
-        for nf in K.min_nonfaces:
-            if witness.value(nf) <= Fraction(1, r):
-                raise RuntimeError("relaxed LP witness fails a non-face constraint")
-        sub = sublevel_complex(witness, Fraction(1, r))
+    if verdict.feasible:
+        sub = sublevel_complex(verdict.witness, Fraction(1, r))
         if not all(K.is_face(f) for f in sub.facets):
             raise RuntimeError("relaxed LP witness: sub-level complex not inside K")
         if not is_r_unavoidable(sub, r)[0]:
             raise RuntimeError("relaxed LP witness: sub-level complex is not r-unavoidable")
-        return LpVerdict(True, witness, eps, None)
-    return LpVerdict(False, None, eps,
-                     f"optimal margin {eps} <= 0: the listed dual weights cap the margin; "
-                     + _format_weighted(labels))
-
-
-def _verify_realization(K: SimplicialComplex, witness: Measure, r: int, eps: Fraction) -> None:
-    inv_r = Fraction(1, r)
-    for facet in K.facets:
-        if witness.value(facet) > inv_r:
-            raise RuntimeError("witness violates a facet constraint")
-    for nf in K.min_nonfaces:
-        if witness.value(nf) < inv_r + eps:
-            raise RuntimeError("witness violates a non-face margin")
+    return verdict
 
 
 def wh_realization_check(K: SimplicialComplex, r: int, F: WeightedHypergraph) -> bool:
@@ -367,8 +349,6 @@ def selfdual_wh_realization(K: SimplicialComplex) -> WeightedHypergraph:
     so the induced measure is the indicator itself, total 1, and the 1/2
     sub-level complex is exactly K.
     """
-    from .complexes import is_self_dual
-
     if not is_self_dual(K):
         raise ValueError("complex is not self-dual")
     if (1 << K.m) - 1 > WH_MAX_FAMILY:

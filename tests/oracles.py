@@ -183,7 +183,8 @@ def fourier_motzkin_maximize(objective, rows):
     upper = None
     lower = None
     for coeffs, p, q in ineqs:
-        assert all(v == 0 for v in coeffs)
+        if any(v != 0 for v in coeffs):
+            raise AssertionError("Fourier-Motzkin left a variable uneliminated")
         if p > 0:
             bound = q / p
             upper = bound if upper is None else min(upper, bound)

@@ -185,6 +185,10 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     missing = tmp_path / "missing.scx"
     assert run(["pi", str(missing)]) == 2
     capsys.readouterr()
+    good = tmp_path / "good.scx"
+    good.write_text("m 3\n1\n2\n3\n")
+    assert run(["pi", str(good), "--check", "3:2:9"]) == 1
+    assert "use R or R:S" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path, capsys):

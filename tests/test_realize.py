@@ -1,5 +1,6 @@
 """Realizability: weighted-hypergraph measures, geometric measures, LPs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -346,6 +347,21 @@ K6_FARKAS_NOTE = (
     "facet (2, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15) x 1"
 )
 
+K6_RELAXED_NOTE = (
+    "optimal margin -1/10 <= 0: the listed dual weights cap the margin; "
+    "total-mass x 2/5; "
+    "non-face (1, 2, 6, 13, 14, 15) x 1/10; "
+    "non-face (1, 3, 7, 11, 12, 15) x 1/10; "
+    "non-face (1, 4, 8, 10, 12, 14) x 1/10; "
+    "non-face (1, 5, 9, 10, 11, 13) x 1/10; "
+    "non-face (2, 3, 8, 9, 10, 15) x 1/10; "
+    "non-face (2, 4, 7, 9, 11, 14) x 1/10; "
+    "non-face (2, 5, 7, 8, 12, 13) x 1/10; "
+    "non-face (3, 4, 6, 9, 12, 13) x 1/10; "
+    "non-face (3, 5, 6, 8, 11, 14) x 1/10; "
+    "non-face (4, 5, 6, 7, 10, 15) x 1/10"
+)
+
 
 def test_margin_lp_pivot_path_is_pinned():
     for m, (margin, witness) in PINNED_SELFDUAL_MARGIN_LP.items():
@@ -364,7 +380,50 @@ def test_margin_lp_decides_large_examples():
     # on the fraction-free one.
     assert is_linearly_realizable(skeleton(4, 11), 2).margin == Fraction(1, 22)
     K6, _ = ramsey_complex(6, contains_clique(3))
-    assert linear_subcomplex_witness(K6, 2).margin == Fraction(-1, 10)
+    relaxed = linear_subcomplex_witness(K6, 2)
+    assert relaxed.margin == Fraction(-1, 10)
+    assert relaxed.infeasibility_note == K6_RELAXED_NOTE
+
+
+def _corrupt_margin_lp(monkeypatch, measure=None, shift=0):
+    """Make the margin LP's result carry the witness ``measure(mu)`` instead of
+    mu, and an optimum moved by ``shift``."""
+    import unavoidable.realize
+
+    solve = unavoidable.realize.maximize
+
+    def corrupted(objective, rows):
+        res = solve(objective, rows)
+        m, duals = len(rows) - 1, res.duals
+        if measure is not None:
+            duals = tuple(-w for w in measure(tuple(-d for d in duals[:m]))) + duals[m:]
+        return dataclasses.replace(res, objective=res.objective - shift, duals=duals)
+
+    monkeypatch.setattr(unavoidable.realize, "maximize", corrupted)
+
+
+WITNESS_CORRUPTIONS = {
+    "negative-weight": ({"measure": lambda mu: (mu[0] + 1, mu[1] - 1) + mu[2:]},
+                        "not a probability"),
+    "total-not-1": ({"measure": lambda mu: tuple(2 * w for w in mu)}, "not a probability"),
+    "shifted-margin": ({"shift": Fraction(1, 1000)}, "duality gap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CORRUPTIONS))
+@pytest.mark.parametrize("solve", [is_linearly_realizable, linear_subcomplex_witness])
+def test_margin_lp_postconditions_catch_a_corrupted_witness(monkeypatch, solve, case):
+    corruption, message = WITNESS_CORRUPTIONS[case]
+    _corrupt_margin_lp(monkeypatch, **corruption)
+    with pytest.raises(RuntimeError, match=message):
+        solve(skeleton(1, 5), 2)
+
+
+def test_margin_lp_postconditions_catch_a_heavy_facet(monkeypatch):
+    # All mass on vertex 1: a probability, but the facets through 1 weigh 1 > 1/2.
+    _corrupt_margin_lp(monkeypatch, measure=lambda mu: (Fraction(1),) + (0,) * (len(mu) - 1))
+    with pytest.raises(RuntimeError, match="upper constraint"):
+        is_linearly_realizable(skeleton(1, 5), 2)
 
 
 def test_lp_constraint_cap():
