@@ -2,8 +2,9 @@
 
 A complex is stored by its facets (inclusion-maximal faces) together with the
 cached antichain of minimal non-faces computed at construction time, as the
-minimal transversals of the facet complements.  The two antichains support
-both membership routes:
+minimal transversals of the facet complements (threshold complexes of
+additive measures enumerate both antichains directly).  The two antichains
+support both membership routes:
 
     A is a face  <=>  A is contained in some facet
                  <=>  A contains no minimal non-face
@@ -28,8 +29,11 @@ function, so values may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Union
 
 from .bitsets import (
@@ -341,25 +345,128 @@ class Measure:
         return cls(tuple(w))
 
 
+@dataclass(frozen=True)
+class GeometricMeasure:
+    """Pointwise minimum of finitely many additive measures on the same [m]."""
+
+    components: tuple[Measure, ...]
+
+    def __post_init__(self):
+        comps = tuple(self.components)
+        if not comps:
+            raise ValueError("at least one component measure required")
+        if len({mu.m for mu in comps}) != 1:
+            raise ValueError("component measures must share the ground set")
+        object.__setattr__(self, "components", comps)
+
+    @property
+    def m(self) -> int:
+        return self.components[0].m
+
+    def value(self, subset: SubsetLike) -> Fraction:
+        mask = as_mask(self.m, subset)
+        return min(mu.value(mask) for mu in self.components)
+
+    @property
+    def total(self) -> Fraction:
+        return self.value(full_mask(self.m))
+
+
 SWEEP_MAX_GROUND_SET = 22
+
+
+def _heaviest_first(mu: Measure, threshold: Fraction):
+    # The weights and the threshold as integers over one common denominator,
+    # with the weights and vertex bits in order of decreasing weight and the
+    # suffix sums of the weights in that order.
+    D = math.lcm(threshold.denominator, *(w.denominator for w in mu.weights))
+    order = sorted(range(mu.m), key=lambda i: -mu.weights[i])
+    ws = [mu.weights[i].numerator * (D // mu.weights[i].denominator) for i in order]
+    suffix = list(accumulate(reversed(ws), initial=0))[::-1]
+    return ws, [1 << i for i in order], suffix, threshold.numerator * (D // threshold.denominator)
+
+
+def _threshold_facets(mu: Measure, threshold: Fraction) -> list[int]:
+    # The maximal A with w(A) <= T.  Vertices are decided heaviest first, and
+    # a branch ends as soon as all remaining vertices fit: their union is its
+    # one maximal completion.  So every branch ends in a facet: the last
+    # vertex u left out was left out where the rest did not all fit, and
+    # every later vertex is in A, so w(A) + w(u) > T; every vertex left out
+    # earlier weighs at least w(u).
+    ws, bits, suffix, T = _heaviest_first(mu, threshold)
+    rest = list(accumulate(reversed(bits), operator.or_, initial=0))[::-1]
+    out: list[int] = []
+
+    def grow(k: int, chosen: int, weight: int) -> None:
+        if weight + suffix[k] <= T:
+            out.append(chosen | rest[k])
+            return
+        w = ws[k]
+        if weight + w <= T:
+            grow(k + 1, chosen | bits[k], weight + w)
+        grow(k + 1, chosen, weight)
+
+    grow(0, 0, 0)
+    return out
+
+
+def _threshold_min_nonfaces(mu: Measure, threshold: Fraction) -> list[int]:
+    # The minimal A with w(A) > T.  Vertices are taken heaviest first, so the
+    # vertex that first lifts the weight past T is the lightest of A, and A
+    # minus any vertex weighs at most T: every cover found is minimal.  A
+    # branch ends when the remaining vertices cannot lift it past T.
+    ws, bits, suffix, T = _heaviest_first(mu, threshold)
+    out: list[int] = []
+
+    def grow(k: int, chosen: int, weight: int) -> None:
+        if weight + suffix[k] <= T:
+            return
+        w = ws[k]
+        if weight + w > T:
+            out.append(chosen | bits[k])
+        else:
+            grow(k + 1, chosen | bits[k], weight + w)
+        grow(k + 1, chosen, weight)
+
+    grow(0, 0, 0)
+    return out
 
 
 def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
     """The sub-level complex {A : nu(A) <= beta} of a monotone measure.
 
     ``nu`` is anything with a ground-set size ``m`` and a monotone ``value``
-    on masks: a :class:`Measure`, or a ``WeightedHypergraph`` or
-    ``GeometricMeasure`` from :mod:`unavoidable.realize`.  Monotonicity makes
-    the family downward closed, so a face is a facet iff no one-vertex
-    extension is a face, and the faces are walked level by level from the
-    empty set.  Comparisons are exact rational; the walk visits every face,
-    so it is refused for m > SWEEP_MAX_GROUND_SET.
+    on masks.  Comparisons are exact, and every construction is refused for
+    m > SWEEP_MAX_GROUND_SET.
+
+    * A :class:`Measure` gives a threshold complex.  Its weights and beta are
+      scaled to integers over one common denominator, and both antichains
+      are enumerated directly by depth-first searches over the vertices,
+      heaviest first, with suffix-sum cuts (Peled-Simeone 1985): the facets
+      are the maximal sets of weight at most beta, the minimal non-faces the
+      minimal sets of weight above it.  No face is walked and no
+      dualization runs.
+    * A :class:`GeometricMeasure` gives the union of its components'
+      threshold complexes, built from their facets.
+    * Any other measure, such as a ``WeightedHypergraph`` from
+      :mod:`unavoidable.realize`, is walked face by face, level by level from
+      the empty set: monotonicity makes the family downward closed, so a
+      face is a facet iff no one-vertex extension is a face.
     """
     threshold = as_fraction(beta)
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     if nu.m > SWEEP_MAX_GROUND_SET:
         raise BudgetExceededError(f"sub-level sweeps support m <= {SWEEP_MAX_GROUND_SET}")
+    if isinstance(nu, Measure):
+        return SimplicialComplex(
+            m=nu.m,
+            facets=tuple(sorted(_threshold_facets(nu, threshold), key=elements)),
+            min_nonfaces=tuple(sorted(_threshold_min_nonfaces(nu, threshold), key=elements)),
+        )
+    if isinstance(nu, GeometricMeasure):
+        return from_facets(nu.m, [facet for mu in nu.components
+                                  for facet in _threshold_facets(mu, threshold)])
     full = full_mask(nu.m)
     facets: list[int] = []
     nonfaces: set[int] = set()

@@ -5,7 +5,8 @@ Three measure families feed sub-level constructions:
 * additive :class:`~unavoidable.complexes.Measure` (weights on vertices),
 * :class:`WeightedHypergraph` measures: the best total weight of a pairwise
   disjoint subfamily packed inside a set (superadditive by construction),
-* :class:`GeometricMeasure`: pointwise minima of additive measures.
+* :class:`~unavoidable.complexes.GeometricMeasure`: pointwise minima of
+  additive measures.
 
 Linear realizability of K at level r asks for a probability measure with
 mu(facet) <= 1/r and mu(minimal non-face) > 1/r.  That strict system is
@@ -32,6 +33,7 @@ from typing import Optional, Sequence
 
 from .bitsets import SubsetLike, as_mask, check_ground_set, elements, full_mask
 from .complexes import (
+    GeometricMeasure,
     Measure,
     RationalLike,
     SimplicialComplex,
@@ -56,11 +58,17 @@ class WeightedHypergraph:
 
     ``value(A)`` is the induced superadditive measure: the largest total
     weight of pairwise disjoint members inside A, or 0 when no member fits.
-    Evaluation memoizes over subsets; the hard caps m <= 22 and at most 4096
-    members keep that tractable.
+    It branches on the least vertex v of A: either v is left uncovered, or
+    it is covered by a member inside A whose least vertex is v.  So
+
+        nu(A) = max(nu(A - v), max of omega(M) + nu(A - M) over such M),
+
+    with the members bucketed by least vertex and the zero-weight ones
+    dropped (they never beat nu(A - v)).  Evaluation memoizes over subsets;
+    the hard caps m <= 22 and at most 4096 members keep that tractable.
     """
 
-    __slots__ = ("m", "members", "omega", "_memo")
+    __slots__ = ("m", "members", "omega", "_by_low", "_memo")
 
     def __init__(self, m: int, members: Sequence[SubsetLike], omega: Sequence[RationalLike]):
         check_ground_set(m)
@@ -79,9 +87,14 @@ class WeightedHypergraph:
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
         order = sorted(range(len(masks)), key=lambda i: elements(masks[i]))
+        by_low: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+        for mask, w in zip(masks, weights):
+            if w:
+                by_low[(mask & -mask).bit_length() - 1].append((mask, w))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "members", tuple(masks[i] for i in order))
         object.__setattr__(self, "omega", tuple(weights[i] for i in order))
+        object.__setattr__(self, "_by_low", tuple(tuple(bucket) for bucket in by_low))
         object.__setattr__(self, "_memo", {0: ZERO})
 
     def __setattr__(self, name, value):
@@ -95,10 +108,11 @@ class WeightedHypergraph:
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        best = ZERO
-        for member, weight in zip(self.members, self.omega):
+        low = mask & -mask
+        best = self._nu(mask ^ low)
+        for member, weight in self._by_low[low.bit_length() - 1]:
             if member & ~mask == 0:
-                cand = weight + self._nu(mask & ~member)
+                cand = weight + self._nu(mask ^ member)
                 if cand > best:
                     best = cand
         memo[mask] = best
@@ -110,33 +124,6 @@ class WeightedHypergraph:
 
     def __repr__(self) -> str:
         return f"WeightedHypergraph(m={self.m}, members={len(self.members)})"
-
-
-@dataclass(frozen=True)
-class GeometricMeasure:
-    """Pointwise minimum of finitely many additive measures on the same [m]."""
-
-    components: tuple[Measure, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("at least one component measure required")
-        if len({mu.m for mu in comps}) != 1:
-            raise ValueError("component measures must share the ground set")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def m(self) -> int:
-        return self.components[0].m
-
-    def value(self, subset: SubsetLike) -> Fraction:
-        mask = as_mask(self.m, subset)
-        return min(mu.value(mask) for mu in self.components)
-
-    @property
-    def total(self) -> Fraction:
-        return self.value(full_mask(self.m))
 
 
 def superadditive_sublevel(nu, r: int) -> SimplicialComplex:
@@ -326,7 +313,12 @@ def linear_subcomplex_witness(K: SimplicialComplex, r: int, *,
 
 
 def wh_realization_check(K: SimplicialComplex, r: int, F: WeightedHypergraph) -> bool:
-    """Exhaustively test K = {A : nu_F(A) <= nu_F([m]) / r}."""
+    """Test K = {A : nu_F(A) <= nu_F([m]) / r}.
+
+    Both sides are down-sets (nu_F is monotone), so they are equal exactly
+    when every facet of K is at most the threshold and every minimal
+    non-face of K is above it: |facets| + |minimal non-faces| evaluations.
+    """
     if r < 2:
         raise ValueError("r must be at least 2")
     if F.m != K.m:
@@ -335,10 +327,8 @@ def wh_realization_check(K: SimplicialComplex, r: int, F: WeightedHypergraph) ->
     if alpha <= 0:
         raise ValueError("total weighted-hypergraph mass is zero")
     threshold = alpha / r
-    for mask in range(1 << K.m):
-        if K.is_face(mask) != (F.value(mask) <= threshold):
-            return False
-    return True
+    return (all(F.value(facet) <= threshold for facet in K.facets)
+            and all(F.value(nf) > threshold for nf in K.min_nonfaces))
 
 
 def selfdual_wh_realization(K: SimplicialComplex) -> WeightedHypergraph:
@@ -384,9 +374,14 @@ def weights_to_json(F: WeightedHypergraph) -> dict:
 
 def weights_from_json(obj: dict) -> WeightedHypergraph:
     try:
-        return WeightedHypergraph(obj["m"], obj["family"], obj["omega"])
+        m, family, omega = obj["m"], obj["family"], obj["omega"]
     except KeyError as exc:
         raise ValueError(f"weights object is missing key {exc}") from None
+    # The wire format lists each member's vertices; a bare int would be read
+    # as a bit mask by the constructor.
+    if not isinstance(family, list) or not all(isinstance(member, list) for member in family):
+        raise ValueError('"family" must be a list of vertex lists, e.g. [[1, 2], [3]]')
+    return WeightedHypergraph(m, family, omega)
 
 
 def measure_to_json(mu: Measure) -> dict:

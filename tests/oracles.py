@@ -116,6 +116,13 @@ def oracle_wh_measure(members, omega, subset_mask: int) -> Fraction:
     return best
 
 
+def oracle_wh_realization_check(K: SimplicialComplex, r: int, F) -> bool:
+    """Literal test of K = {A : nu_F(A) <= nu_F([m]) / r} over all 2^m subsets."""
+    threshold = oracle_wh_measure(F.members, F.omega, full_mask(K.m)) / r
+    return all(is_face_naive(K, mask) == (oracle_wh_measure(F.members, F.omega, mask) <= threshold)
+               for mask in range(1 << K.m))
+
+
 def oracle_deleted_join_counts(K: SimplicialComplex, r: int) -> tuple[int, ...]:
     counts = [0] * K.m
     for labels in product(range(r + 1), repeat=K.m):

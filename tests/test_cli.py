@@ -123,6 +123,22 @@ def test_wh_weights_zero_denominator_is_input_error(skel15, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_wh_weights_bare_int_members_are_input_errors(tmp_path, capsys):
+    # 5 and 10 are not vertex lists; read as masks they would be {1,3} and {2,4}.
+    path = tmp_path / "p4.scx"
+    assert run(["gen", "points", "--m", "4", "-o", str(path)]) == 0
+    wfile = tmp_path / "w.json"
+    for family in ([5, 10], [[1, 3], True]):
+        wfile.write_text(json.dumps({"m": 4, "family": family, "omega": ["1", "1"]}))
+        capsys.readouterr()
+        assert run(["wh", str(path), "--weights", str(wfile)]) == 2
+        _, err = _capture(capsys)
+        assert err.startswith("error: ") and "vertex lists" in err
+    wfile.write_text(json.dumps({"m": 4, "family": [[1, 3], [2, 4]], "omega": ["1", "1"]}))
+    assert run(["wh", str(path), "--weights", str(wfile)]) == 0
+    assert "verdict = false" in _capture(capsys)[0]
+
+
 def test_wh_canonical_rejects_non_selfdual(points5, capsys):
     assert run(["wh", points5, "--canonical"]) == 2
     _, err = _capture(capsys)

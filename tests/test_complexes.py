@@ -1,5 +1,6 @@
 """Core complex representation: construction, duality, joins, sub-levels, files."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -268,6 +269,16 @@ def test_sublevel_examples():
     assert sublevel_complex(mu, Fraction(1, 2)) == skeleton(1, 5)
     assert sublevel_complex(mu, Fraction(1, 3)) == points(5)
     assert sublevel_complex(mu, 0) == from_facets(5, [[]])
+    full = sublevel_complex(Measure((Fraction(1, 2), Fraction(1, 3), Fraction(0))), Fraction(5, 6))
+    assert full.facets == (0b111,) and full.min_nonfaces == ()
+    zeros = sublevel_complex(Measure((Fraction(0), Fraction(2), Fraction(0), Fraction(1))), 0)
+    assert zeros.facets == (0b0101,) and zeros.min_nonfaces == (0b0010, 0b1000)
+    assert sublevel_complex(Measure((Fraction(1),)), 0) == from_facets(1, [[]])
+    assert sublevel_complex(Measure((Fraction(1),)), 1) == from_facets(1, [[1]])
+    # A threshold equal to a subset sum admits that subset.
+    thirds = Measure((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    tight = sublevel_complex(thirds, Fraction(1, 2))
+    assert tight.facets == (0b001, 0b110) and tight.min_nonfaces == (0b011, 0b101)
 
 
 def test_sublevel_monotone_in_threshold():
@@ -280,6 +291,51 @@ def test_sublevel_monotone_in_threshold():
         lo = brute_faces(sublevel_complex(mu, betas[0]))
         hi = brute_faces(sublevel_complex(mu, betas[1]))
         assert lo <= hi
+
+
+def _random_threshold_case(rng: random.Random) -> tuple[Measure, Fraction]:
+    # Zero weights, mixed denominators, and thresholds at 0, at a subset
+    # sum, at or above the total, or anywhere in between.
+    m = rng.choice([1, 1] + list(range(1, 11)))
+    weights = [Fraction(0) if rng.random() < 0.2 else
+               Fraction(rng.randint(0, 9), rng.choice([1, 2, 3, 5, 7, 12])) for _ in range(m)]
+    if not any(weights):
+        weights[rng.randrange(m)] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    mu = Measure(tuple(weights))
+    kind = rng.randrange(4)
+    if kind == 0:
+        beta = Fraction(0)
+    elif kind == 1:
+        beta = mu.value(rng.getrandbits(m))
+    elif kind == 2:
+        beta = mu.total + Fraction(rng.randint(0, 3), rng.randint(1, 4))
+    else:
+        beta = Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 4, 6, 10]))
+    return mu, beta
+
+
+def test_threshold_sublevel_matches_brute_force():
+    rng = random.Random(1985)
+    seen = set()
+    for _ in range(2000):
+        mu, beta = _random_threshold_case(rng)
+        m = mu.m
+        # Subset sums in integers over a common denominator, one addition per subset.
+        D = math.lcm(beta.denominator, *(w.denominator for w in mu.weights))
+        ints = [int(w * D) for w in mu.weights]
+        sums = [0] * (1 << m)
+        for a in range(1, 1 << m):
+            sums[a] = sums[a & (a - 1)] + ints[(a & -a).bit_length() - 1]
+        T = int(beta * D)
+        want = {a for a in range(1 << m) if sums[a] <= T}
+        K = sublevel_complex(mu, beta)
+        assert brute_faces(K) == want
+        assert K.facets == tuple(sorted(K.facets, key=elements))
+        assert all(f | 1 << i not in want for f in K.facets for i in range(m) if not f >> i & 1)
+        assert K.min_nonfaces == tuple(sorted(brute_min_nonfaces(K), key=elements))
+        seen.add((m == 1, beta == 0, beta >= mu.total, 0 in mu.weights))
+    # m = 1, beta = 0, the full simplex and zero weights all occurred.
+    assert all(any(case[i] for case in seen) for i in range(4))
 
 
 def test_sublevel_negative_threshold_rejected():

@@ -1,6 +1,7 @@
 """Example families: skeletons, edge-property complexes, majority thresholds,
 deleted-join counts."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from unavoidable import (
     contains_clique,
     deleted_join_faces,
     edge_table,
+    format_scx,
     from_facets,
     is_admissible,
     is_r_unavoidable,
@@ -188,6 +190,55 @@ def test_random_selfdual_always_self_dual_and_deterministic():
         K = random_selfdual(m, seed)
         assert is_self_dual(K)
         assert K == random_selfdual(m, seed)
+
+
+# sha256 of format_scx(random_selfdual(m, seed)) for seeds 0..3, recorded when
+# the threshold complexes still came from a face walk over every subset.
+SELFDUAL_SCX_SHA256 = {
+    11: (
+        "a699ec3a7be21df1c9202833aff6d14a0ef829811f13770bc727fb0c154b5e77",
+        "c1558677c9cb1e5ac5df9398ae9842592bd8432d28fa5e0dcf4830cb52ab7ff7",
+        "870299834428c920a97ced0f788351807c60d35ec6aa49f481a48d588b13e9cb",
+        "6335a79a7defedf594201ae81462ab76b03335c480564819e664498acd5f50c9",
+    ),
+    12: (
+        "dc09171e3bd41dc0c22e459eaac06670906c6f9ea322f85d87800fb161e5cee7",
+        "c4bdb7386fd64717e27535537edfb1073e53fba9253145dae1767556b385ab83",
+        "8e99cc96e09af3d15496743a3205aac56d2c6899873a30a086d0e004b33270d2",
+        "a41ba6841ec2bc71aa22f810bf079c8bb44c530fe2a6222f59f572b3e9cfa51e",
+    ),
+    13: (
+        "cb2a4c18779fd3381aede681163365c911d6a40550b9967faa7e2cc1f78dc3d0",
+        "e160ba8e681492347b39b580aed42809fca5b17c9d9db68d535ce2b9113c7b87",
+        "af8294d25a0954f0d97e4a289a88540bdb98aeb432e01ba46bd7bff44d9a12be",
+        "4821ea8b987a6ed4ee899597db940c842dacd8630314c15f0e643e1ac5fc243e",
+    ),
+    14: (
+        "32697272a7050e6240f81ee93d803b74ea05e08c19a1cdc707ffba5c971a599d",
+        "b8de476ebab93d7fb301187f1321c43253971592cb1e32395846cca6a8545ac4",
+        "d5255dcbec96fa21a471882da5cf3d9951f04c7d68b6ff09be5d64365e96d871",
+        "35625aa1b233599f672fcd6a4881281fb35b13bcfe8aa27cf8a3b712dcb7a688",
+    ),
+    15: (
+        "924e1033f555676a9fb565624550def82df08b1758e5da102b5e76b133bdf9d5",
+        "c3f282d304509873e0af38c6a719f07fe6298c7598166ed3032dc42d735a5bcc",
+        "723c7a68d2f66485f36328efdc7b1bd3f347efa2792be5a5e92557be2dd191f1",
+        "174f8275ce5261932cc609a1ba2b15b09cb9721bfd119d03d266c0235cf41a12",
+    ),
+    16: (
+        "e7d21998b655241b225b9e228c7db9b433a01dacda898bb93828e932b31257cc",
+        "319fd51f1ca8effedce7f33479819d4b39371915a47df505f1d5977549a5efc2",
+        "d1c1c195728848ec189f924e2f616bdbc3e5ea1c176f15892e6f7fa148da0e18",
+        "b7f880a6a6e246cf2d58e4462bf9b9f07788984485b5583feb4b17256295db2c",
+    ),
+}
+
+
+def test_random_selfdual_files_are_pinned():
+    for m, digests in SELFDUAL_SCX_SHA256.items():
+        for seed, digest in enumerate(digests):
+            text = format_scx(random_selfdual(m, seed))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, seed)
 
 
 # --- deleted joins -----------------------------------------------------------------

@@ -14,6 +14,7 @@ from unavoidable import (
     Measure,
     WeightedHypergraph,
     contains_clique,
+    delete_facet,
     from_facets,
     is_linearly_realizable,
     is_r_unavoidable,
@@ -37,7 +38,7 @@ from unavoidable import (
 )
 from unavoidable.bitsets import full_mask
 
-from oracles import brute_faces, oracle_wh_measure, random_complex
+from oracles import brute_faces, oracle_wh_measure, oracle_wh_realization_check, random_complex
 
 
 def _random_wh(rng: random.Random, m: int, max_members: int = 8) -> WeightedHypergraph:
@@ -77,6 +78,15 @@ def test_wh_measure_matches_exhaustive_packing():
         m = rng.randint(2, 5)
         F = _random_wh(rng, m, max_members=10)
         for subset in range(1 << m):
+            assert F.value(subset) == oracle_wh_measure(F.members, F.omega, subset)
+    # many zero-weight members, which the least-vertex recursion drops
+    for _ in range(150):
+        m = rng.randint(1, 8)
+        members = sorted({rng.getrandbits(m) or 1 << rng.randrange(m) for _ in range(7)})
+        omega = [0 if rng.random() < 0.4 else Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                 for _ in members]
+        F = WeightedHypergraph(m, members, omega)
+        for subset in [full_mask(m)] + [rng.getrandbits(m) for _ in range(8)]:
             assert F.value(subset) == oracle_wh_measure(F.members, F.omega, subset)
 
 
@@ -177,6 +187,24 @@ def test_sublevel_complex_of_nonadditive_measures_matches_brute_force():
                               for i in range(m)))
                 for _ in range(rng.randint(1, 3))))
         beta = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        want = {a for a in range(1 << m) if nu.value(a) <= beta}
+        assert brute_faces(sublevel_complex(nu, beta)) == want
+    # Geometric measures whose components may have zero weights, at
+    # thresholds that often equal a component's subset sum.
+    for _ in range(200):
+        m = rng.randint(1, 8)
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            ws = [Fraction(0) if rng.random() < 0.3
+                  else Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(m)]
+            if not any(ws):
+                ws[rng.randrange(m)] = Fraction(1)
+            comps.append(Measure(tuple(ws)))
+        nu = GeometricMeasure(tuple(comps))
+        if rng.random() < 0.5:
+            beta = rng.choice(comps).value(rng.getrandbits(m))
+        else:
+            beta = Fraction(rng.randint(0, 12), rng.randint(1, 4))
         want = {a for a in range(1 << m) if nu.value(a) <= beta}
         assert brute_faces(sublevel_complex(nu, beta)) == want
 
@@ -453,6 +481,45 @@ def test_wh_realization_rejects_wrong_family():
     assert not wh_realization_check(points(5), 3, F)
 
 
+def test_wh_realization_check_matches_exhaustive_oracle():
+    rng = random.Random(329)
+    verdicts = {True: 0, False: 0}
+    for _ in range(160):
+        m = rng.randint(1, 6)
+        F = _random_wh(rng, m, max_members=5)
+        if F.total == 0:
+            continue
+        r = rng.randint(2, 4)
+        if rng.random() < 0.6:
+            # The sub-level complex itself, sometimes with one facet deleted.
+            threshold = oracle_wh_measure(F.members, F.omega, full_mask(m)) / r
+            K = from_facets(m, [a for a in range(1 << m)
+                                if oracle_wh_measure(F.members, F.omega, a) <= threshold])
+            nonempty = [f for f in K.facets if f]
+            if nonempty and rng.random() < 0.4:
+                K = delete_facet(K, rng.choice(nonempty))
+        else:
+            K = random_complex(rng, m)
+        want = oracle_wh_realization_check(K, r, F)
+        assert wh_realization_check(K, r, F) == want
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 30
+
+
+def test_wh_realization_check_on_random_selfdual_18():
+    # random_selfdual(18, 0) is the weighted-majority complex of these
+    # integer weights, so their singleton hypergraph realizes it at r = 2.
+    m = 18
+    rng = random.Random(0)
+    weights = [rng.randint(1, 2 * m + 1) for _ in range(m)]
+    if sum(weights) % 2 == 0:
+        weights[0] += 1
+    K = random_selfdual(m, 0)
+    assert len(K.facets) == 12027 and len(K.min_nonfaces) == 12027
+    F = WeightedHypergraph(m, [[v] for v in range(1, m + 1)], weights)
+    assert wh_realization_check(K, 2, F)
+
+
 def test_selfdual_realization_rejects_non_selfdual():
     with pytest.raises(ValueError):
         selfdual_wh_realization(points(5))
@@ -502,6 +569,16 @@ def test_weights_json_round_trip():
     assert back.members == F.members and back.omega == F.omega
     with pytest.raises(ValueError):
         weights_from_json({"m": 4, "family": [[1]]})
+
+
+def test_json_weights_require_vertex_lists():
+    # Bare ints would be read as bit masks: 5 is {1, 3}, 10 is {2, 4}.
+    for family in ([5, 10], [[1, 2], 3], [True], [[1], False], 5, "12"):
+        with pytest.raises(ValueError):
+            weights_from_json({"m": 4, "family": family, "omega": ["1"] * 2})
+    F = weights_from_json({"m": 4, "family": [[1, 3], [2, 4]], "omega": ["1", "1"]})
+    assert F.members == (0b0101, 0b1010)
+    assert WeightedHypergraph(4, [5, 10], [1, 1]).members == F.members  # the API takes masks
 
 
 def test_measure_json_round_trip():
