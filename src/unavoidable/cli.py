@@ -284,7 +284,8 @@ def _cmd_analyze(args, report):
     }
     plain = [f"m = {K.m}", f"pi = {pi}", f"self_dual = {str(dual).lower()}"]
     if args.r is not None:
-        ok, witness = is_r_unavoidable(K, args.r)
+        ok = pi <= args.r  # pi = D + 1, and K is r-unavoidable iff D < r
+        witness = None if ok else is_r_unavoidable(K, args.r)[1]
         results["unavoidable"] = ok
         results["witness"] = None if witness is None else asdict(witness)
         results["minimally_unavoidable"] = is_minimally_r_unavoidable(K, args.r)

@@ -108,6 +108,19 @@ class SimplicialComplex:
     def __contains__(self, subset: SubsetLike) -> bool:
         return self.is_face(subset)
 
+    def face_table(self) -> bytearray:
+        """Byte A is 1 iff mask A is a face, for all 2^m masks (m <= SWEEP_MAX_GROUND_SET)."""
+        if self.m > SWEEP_MAX_GROUND_SET:
+            raise BudgetExceededError(f"face tables support m <= {SWEEP_MAX_GROUND_SET}")
+        table = bytearray(1 << self.m)
+        for facet in self.facets:
+            table[facet] = 1
+        for mask in reversed(range(len(table))):  # supersets first: faces are marked before reached
+            if table[mask]:
+                for low in iter_singletons(mask):
+                    table[mask ^ low] = 1
+        return table
+
     @property
     def vertices(self) -> tuple[int, ...]:
         """Vert(K): vertices that occur in some face; may be a proper subset of [m]."""

@@ -6,8 +6,8 @@
 * random self-dual complexes from weighted-majority thresholds,
 * face counts of r-fold deleted joins.
 
-Deleted joins are enumerated, never materialized: their vertex sets multiply
-and only f-vectors are needed downstream.
+Deleted joins are never materialized: their vertex sets multiply and only
+f-vectors are needed downstream, which are counted without visiting a face.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Callable, Optional
 
 from .bitsets import full_mask, iter_singletons
@@ -23,7 +24,7 @@ from .complexes import Measure, SimplicialComplex, from_facets, sublevel_complex
 from .errors import BudgetExceededError
 
 DEFAULT_COLORING_BUDGET = 1 << 26
-DEFAULT_DELETED_JOIN_BUDGET = 1 << 30
+DEFAULT_DELETED_JOIN_BUDGET = 20 << 20  # m*2^m transform steps: m <= 20
 
 
 def skeleton(k: int, m: int) -> SimplicialComplex:
@@ -212,41 +213,41 @@ def deleted_join_faces(
     """f-vector of the r-fold 2-wise deleted join of K (counts of nonempty
     faces by dimension).
 
-    A face is a labeling of a subset of [m] with labels 1..r whose label
-    classes are all faces of K; its dimension is the number of labeled
-    vertices minus one.  Enumerated by a depth-first sweep over labelings,
-    pruning as soon as a class stops being a face.
+    A face with k vertices (dimension k-1) labels k vertices of [m] with 1..r
+    so that every label class is a face of K: it is an r-tuple of pairwise
+    disjoint faces of K, k vertices in all.  Faces are counted, never
+    visited, by the ranked subset transform (Bjorklund-Husfeldt-Kaski-
+    Koivisto, "Fourier meets Mobius", STOC 2007).  With Z_S(x) the sum of
+    x^|A| over the faces A inside S, [x^k] Z_S^r counts the r-tuples of faces
+    inside S with k vertices in all, and inclusion-exclusion over S keeps
+    those whose union has k vertices, the disjoint ones:
+
+        f_k = sum over j of (-1)^(k-j) C(m-j, k-j) [x^k] P_j,  P_j = sum of Z_S^r over |S| = j.
+
+    ``budget`` bounds the m*2^m steps of the zeta transform that builds every
+    Z_S.  A polynomial is one int, coefficient k at bit k*slot, cut above
+    degree m by powers modulo 2^(slot*(m+1)).  No coefficient carries with
+    slot = (r+1)*m: Z_S(1) <= 2^|S| bounds every coefficient of Z_S^r by
+    2^(r*m), and every coefficient of P_j by C(m, j)*2^(r*m) < 2^((r+1)*m),
+    so each int is its polynomial at x = 2^slot.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if (r + 1) ** K.m > budget:
-        raise BudgetExceededError(
-            f"({r + 1})^{K.m} label assignments exceed the budget {budget}")
-    counts = [0] * K.m
-    classes = [0] * r
-    face_cache: dict[int, bool] = {0: True}
-
-    def is_face(mask: int) -> bool:
-        hit = face_cache.get(mask)
-        if hit is None:
-            hit = face_cache[mask] = K.is_face(mask)
-        return hit
-
-    def sweep(vertex: int, labeled: int) -> None:
-        if vertex == K.m:
-            if labeled:
-                counts[labeled - 1] += 1
-            return
-        bit = 1 << vertex
-        sweep(vertex + 1, labeled)  # leave unlabeled
-        for i in range(r):
-            grown = classes[i] | bit
-            if is_face(grown):
-                classes[i] = grown
-                sweep(vertex + 1, labeled + 1)
-                classes[i] ^= bit
-
-    sweep(0, 0)
+    m = K.m
+    if m << m > budget:
+        raise BudgetExceededError(f"{m}*2^{m} subset-transform steps exceed the budget {budget}")
+    slot = (r + 1) * m
+    zeta = [face << slot * mask.bit_count() for mask, face in enumerate(K.face_table())]
+    for bit in (1 << i for i in range(m)):
+        for mask in range(len(zeta)):
+            if mask & bit:
+                zeta[mask] += zeta[mask ^ bit]
+    ranked = [0] * (m + 1)
+    for mask, z in enumerate(zeta):
+        ranked[mask.bit_count()] += pow(z, r, 1 << slot * (m + 1))
+    digit = (1 << slot) - 1
+    counts = [sum((-1) ** (k - j) * comb(m - j, k - j) * (ranked[j] >> slot * k & digit)
+                  for j in range(k + 1)) for k in range(1, m + 1)]
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)

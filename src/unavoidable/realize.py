@@ -344,9 +344,8 @@ def selfdual_wh_realization(K: SimplicialComplex) -> WeightedHypergraph:
     if (1 << K.m) - 1 > WH_MAX_FAMILY:
         raise BudgetExceededError(
             f"canonical realization enumerates all subsets; needs m <= {WH_MAX_FAMILY.bit_length() - 1}")
-    members = list(range(1, 1 << K.m))
-    omega = [ZERO if K.is_face(mask) else ONE for mask in members]
-    out = WeightedHypergraph(K.m, members, omega)
+    omega = [ZERO if face else ONE for face in K.face_table()[1:]]
+    out = WeightedHypergraph(K.m, range(1, 1 << K.m), omega)
     if not wh_realization_check(K, 2, out):
         raise RuntimeError("canonical weighted hypergraph does not realize the complex")
     return out

@@ -70,13 +70,27 @@ def test_pi_on_one_large_facet(tmp_path, capsys):
     assert json.loads(out)["results"]["pi"] == 2
 
 
-def test_analyze_command(skel15, capsys):
+def test_analyze_command(skel15, points5, capsys):
     assert run(["analyze", skel15, "--r", "2"]) == 0
     out, _ = _capture(capsys)
     assert "self_dual = true" in out
     assert "unavoidable = true" in out
     assert "minimally_unavoidable = true" in out
     assert "pi = 2" in out
+    # points(5) packs two disjoint pairs, so the witness search runs.
+    assert run(["--json", "analyze", points5, "--r", "2"]) == 0
+    results = json.loads(_capture(capsys)[0])["results"]
+    assert (results["pi"], results["unavoidable"], results["minimally_unavoidable"]) == (3, False, False)
+    assert results["witness"] == {"blocks": [[1, 2, 5], [3, 4]], "offending": [True, True]}
+
+
+def test_analyze_rejects_r_below_two(skel15, tmp_path, capsys):
+    full = tmp_path / "full.scx"
+    full.write_text("m 3\n1 2 3\n")
+    for path in (skel15, str(full)):
+        for r in ("1", "0"):
+            assert run(["analyze", path, "--r", r]) == 2
+            assert "r must be at least 2" in capsys.readouterr().err
 
 
 def test_dual_self_dual_complex(skel15, capsys):

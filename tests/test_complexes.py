@@ -26,6 +26,7 @@ from unavoidable import (
 )
 from unavoidable.bitsets import elements, full_mask
 from unavoidable.complexes import _maximal_antichain
+from unavoidable.errors import BudgetExceededError
 
 from oracles import brute_faces, brute_min_nonfaces, oracle_num_faces, random_complex
 
@@ -145,6 +146,19 @@ def test_membership_routes_agree_exhaustive_m10():
         K = random_complex(rng, 10, max_facets=7)
         for mask in range(1 << 10):
             assert K.is_face(mask) == K.is_face_via_nonfaces(mask)
+
+
+def test_face_table_matches_is_face():
+    rng = random.Random(8)
+    cases = [from_facets(m, [0]) for m in (1, 5)] + [from_facets(m, [full_mask(m)]) for m in (1, 5)]
+    cases += [random_complex(rng, rng.randint(1, 12), max_facets=rng.randint(1, 12))
+              for _ in range(60)]
+    for K in cases:
+        table = K.face_table()
+        assert len(table) == 1 << K.m
+        assert all(table[mask] == K.is_face(mask) for mask in range(1 << K.m)), K
+    with pytest.raises(BudgetExceededError):
+        from_facets(23, [full_mask(23)]).face_table()
 
 
 # --- Alexander duality ------------------------------------------------------

@@ -2,6 +2,7 @@
 deleted-join counts."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -252,24 +253,54 @@ def test_deleted_join_small_examples():
             assert sum(counts) == (r + 1) ** m - 1, (m, r)
 
 
+def test_deleted_join_of_full_simplex_in_closed_form():
+    # A face with k vertices labels k of the m vertices freely: C(m,k)*r^k.
+    # The largest packed coefficients arise here, so a slot too narrow for
+    # them carries into its neighbour and breaks the count.
+    cases = [(m, r) for m in range(1, 13) for r in range(1, 6)] + [(16, 5)]
+    for m, r in cases:
+        full = from_facets(m, [full_mask(m)])
+        expected = tuple(math.comb(m, k) * r ** k for k in range(1, m + 1))
+        assert deleted_join_faces(full, r) == expected, (m, r)
+
+
 def test_deleted_join_against_product_scan():
     rng = random.Random(91)
-    for _ in range(15):
-        K = random_complex(rng, rng.randint(1, 5))
-        r = rng.choice([1, 2, 3])
-        assert deleted_join_faces(K, r) == oracle_deleted_join_counts(K, r)
+    cases = [(from_facets(m, [0]), r) for m in (1, 4, 6) for r in (1, 2, 3, 4)]
+    cases += [(from_facets(m, [full_mask(m)]), r) for m in (1, 5, 6) for r in (1, 2, 3, 4)]
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        m = rng.randint(1, (8, 7, 6, 5)[r - 1])  # (r+1)^m labelings for the oracle
+        cases.append((random_complex(rng, m), r))
+    for K, r in cases:
+        assert deleted_join_faces(K, r) == oracle_deleted_join_counts(K, r), (K, r)
+
+
+def test_deleted_join_with_one_label_is_the_f_vector():
+    rng = random.Random(93)
+    for m in range(1, 13):
+        for K in (from_facets(m, [0]), from_facets(m, [full_mask(m)]),
+                  random_complex(rng, m), random_complex(rng, m, max_facets=12)):
+            sizes = [mask.bit_count() for mask in brute_faces(K) if mask]
+            f = tuple(sizes.count(k) for k in range(1, max(sizes, default=0) + 1))
+            assert deleted_join_faces(K, 1) == f, K
 
 
 def test_deleted_join_distributes_over_join():
     # counts-by-vertex-number generating polynomials multiply
     rng = random.Random(92)
+    cases = []
     for _ in range(10):
         m1 = rng.randint(1, 4)
         m2 = rng.randint(1, 5 - m1 if m1 < 5 else 1)
-        K1, K2 = random_complex(rng, m1), random_complex(rng, m2)
-        r = rng.choice([2, 3])
+        cases.append((random_complex(rng, m1), random_complex(rng, m2), rng.choice([2, 3])))
+    cases.append((random_complex(rng, 7, max_facets=10), random_complex(rng, 7, max_facets=10), 3))
+    for K1, K2, r in cases:
         c1 = deleted_join_faces(K1, r)
         c2 = deleted_join_faces(K2, r)
+        if K1.m == 7:
+            assert c1 == oracle_deleted_join_counts(K1, r)
+            assert c2 == oracle_deleted_join_counts(K2, r)
         cj = deleted_join_faces(join(K1, K2), r)
         p1 = [1] + list(c1)
         p2 = [1] + list(c2)
