@@ -248,7 +248,10 @@ def _cmd_pi(args, report):
         except ValueError:
             raise UsageError(f"bad --check value {check_text!r}; use R or R:S") from None
         if s is None:
-            ok, witness = is_r_unavoidable(K, r)
+            if r < 2:
+                raise ValueError("r must be at least 2")
+            ok = d_max < r  # K is r-unavoidable iff D < r
+            witness = None if ok else is_r_unavoidable(K, r)[1]
         else:
             ok, witness = is_rs_unavoidable(K, r, s)
         r_checks.append({"r": r, "s": s, "verdict": ok,
@@ -288,7 +291,7 @@ def _cmd_analyze(args, report):
         witness = None if ok else is_r_unavoidable(K, args.r)[1]
         results["unavoidable"] = ok
         results["witness"] = None if witness is None else asdict(witness)
-        results["minimally_unavoidable"] = is_minimally_r_unavoidable(K, args.r)
+        results["minimally_unavoidable"] = is_minimally_r_unavoidable(K, args.r, d_max=pi - 1)
         plain.append(f"r = {args.r}")
         plain.append(f"unavoidable = {str(ok).lower()}")
         plain.append(f"minimally_unavoidable = {str(results['minimally_unavoidable']).lower()}")

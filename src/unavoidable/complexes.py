@@ -24,7 +24,10 @@ Conventions:
   :class:`fractions.Fraction`; float input is rejected.
 
 All values are immutable after construction and every operation is a pure
-function, so values may be shared freely across threads.
+function, so values may be shared freely across threads.  A complex memoizes
+one derived value, the bitset index of its minimal non-faces that the packing
+searches share; it is a deterministic function of the fields, so a race can
+only build it twice.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .bitsets import (
     MAX_GROUND_SET,
@@ -121,6 +125,12 @@ class SimplicialComplex:
                     table[mask ^ low] = 1
         return table
 
+    @cached_property
+    def nonface_index(self) -> AntichainIndex:
+        """Bitset index of the minimal non-faces, built on first use and then
+        shared by every packing search on this complex."""
+        return AntichainIndex.of(self.m, self.min_nonfaces)
+
     @property
     def vertices(self) -> tuple[int, ...]:
         """Vert(K): vertices that occur in some face; may be a proper subset of [m]."""
@@ -140,7 +150,7 @@ class SimplicialComplex:
         return f"SimplicialComplex(m={self.m}, facets={shown}{more})"
 
 
-def _incidence_rows(m: int, masks: list[int]) -> list[int]:
+def _incidence_rows(m: int, masks: Sequence[int]) -> list[int]:
     # Row v has bit i set iff masks[i] contains vertex v+1, so one big-int AND
     # of rows intersects whole columns of the family at once.
     occ = [0] * m
@@ -148,6 +158,47 @@ def _incidence_rows(m: int, masks: list[int]) -> list[int]:
         for low in iter_singletons(mask):
             occ[low.bit_length() - 1] |= 1 << i
     return occ
+
+
+@dataclass(frozen=True)
+class AntichainIndex:
+    """A family of masks as bitsets over its members: bit i stands for masks[i].
+
+    ``rows[v]`` marks the members that contain vertex v+1, so the members
+    disjoint from a set c are the AND of ``~rows[v]`` over the vertices of c
+    (one AND-NOT with the OR of those rows).
+    ``fits[s]`` marks the members with at most s vertices (s = 0..m).
+    """
+
+    masks: tuple[int, ...]
+    rows: tuple[int, ...]
+    fits: tuple[int, ...]
+
+    @classmethod
+    def of(cls, m: int, masks: Sequence[int]) -> AntichainIndex:
+        by_size = [0] * (m + 1)
+        for i, mask in enumerate(masks):
+            by_size[mask.bit_count()] |= 1 << i
+        return cls(tuple(masks), tuple(_incidence_rows(m, masks)),
+                   tuple(accumulate(by_size, operator.or_)))
+
+    @property
+    def every(self) -> int:
+        """The bitset of all members."""
+        return (1 << len(self.masks)) - 1
+
+    def avoiding(self, mask: int, live: int) -> int:
+        """The members in the bitset ``live`` that are disjoint from ``mask``."""
+        rows, hit = self.rows, 0
+        while mask:
+            low = mask & -mask
+            hit |= rows[low.bit_length() - 1]
+            mask ^= low
+        return live & ~hit
+
+    def span(self, live: int) -> int:
+        """Number of vertices covered by the members in the bitset ``live``."""
+        return sum(1 for row in self.rows if row & live)
 
 
 def _maximal_antichain(masks: Iterable[int]) -> list[int]:

@@ -15,19 +15,29 @@ One bounded search, ``_least_packing``, answers every packing question.  It
 scans candidates in the lexicographic order of their vertex tuples, so
 returned witnesses are the lexicographically least ones and runs reproduce
 bit-identically regardless of scheduling.
+
+The search is bit-parallel, in the manner of the bitset clique search of
+San Segundo et al. (2011): bit i of one Python int stands for candidate i,
+the candidates disjoint from a chosen c are one AND-NOT with the OR of the
+incidence rows of c's vertices, and a prefix-OR table by size drops the
+candidates too large for the vertices left.  The rows and the table form
+the complex's ``nonface_index``, built once per complex, so the k loop of
+``max_disjoint_min_nonfaces``, every room of ``is_rs_unavoidable`` and every
+facet of ``is_minimally_r_unavoidable`` share it.  Each search stops with
+``BudgetExceededError`` after ``PACKING_NODE_LIMIT`` nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bitsets import SubsetLike, as_mask, elements, full_mask, iter_singletons
-from .complexes import SimplicialComplex
+from .complexes import AntichainIndex, SimplicialComplex
 from .errors import BudgetExceededError
 
 ORACLE_MAX_GROUND_SET = 12
+PACKING_NODE_LIMIT = 1 << 20  # nodes of one packing search
 
 
 @dataclass(frozen=True)
@@ -60,38 +70,52 @@ def _union(masks: Iterable[int]) -> int:
     return out
 
 
-def _least_packing(cands: Sequence[int], k: int, room: int) -> Optional[list[int]]:
-    """Lexicographically least family of k pairwise disjoint masks from cands
+def _least_packing(index: AntichainIndex, k: int, room: int,
+                   live: Optional[int] = None) -> Optional[list[int]]:
+    """Lexicographically least family of k pairwise disjoint members of index
     whose sizes sum to at most room, or None.
 
-    Depth-first search in candidate order, so the first family found is the
-    least one.  A branch is cut when too few candidates remain, or when the
-    masks still needed, each at least as large as the smallest remaining
-    candidate, cannot fit into the vertices left: room, capped at the size of
-    the union of cands, minus the sizes chosen so far.
+    Only the members in the bitset ``live`` take part (all by default).  The
+    search is depth first in member order over one bitset P of live
+    candidates: a node takes the least candidate c of P, and its child keeps
+    the later candidates that avoid c and fit into the vertices left (room,
+    capped at the vertices the live members cover, minus the sizes chosen so
+    far).  A branch is cut when P holds fewer candidates than are still
+    needed, or when none of them is small enough: of `need` disjoint
+    candidates in `left` vertices, the smallest has at most left // need.
+    Both cuts are sound, so the first family found is the least one.  Past
+    PACKING_NODE_LIMIT nodes the search raises BudgetExceededError.
     """
-    n = len(cands)
-    sizes = [c.bit_count() for c in cands]
-    smallest = list(accumulate(reversed(sizes), min))[::-1]  # min of sizes[i:]
+    if live is None:
+        live = index.every
+    masks, fits = index.masks, index.fits
     out: list[int] = []
+    nodes = 0
 
-    def rec(start: int, used: int, left: int) -> bool:
-        need = k - len(out)
-        if need == 0:
-            return True
-        for i in range(start, n):
-            if n - i < need or need * smallest[i] > left:
-                return False
-            cand = cands[i]
-            if cand & used or sizes[i] > left:
-                continue
+    def rec(cands: int, left: int, need: int) -> bool:
+        nonlocal nodes
+        small = fits[left // need]
+        while cands & small and cands.bit_count() >= need:
+            nodes += 1
+            if nodes > PACKING_NODE_LIMIT:
+                raise BudgetExceededError(
+                    f"packing search exceeded {PACKING_NODE_LIMIT} nodes")
+            low = cands & -cands
+            cands ^= low
+            cand = masks[low.bit_length() - 1]
             out.append(cand)
-            if rec(i + 1, used | cand, left - sizes[i]):
+            if need == 1:
+                return True
+            rest = left - cand.bit_count()
+            if rec(index.avoiding(cand, cands & fits[rest]), rest, need - 1):
                 return True
             out.pop()
         return False
 
-    return out if rec(0, 0, min(room, _union(cands).bit_count())) else None
+    if k == 0:
+        return out
+    left = min(room, index.span(live))
+    return out if rec(live & fits[left], left, k) else None
 
 
 def max_disjoint_min_nonfaces(K: SimplicialComplex) -> tuple[int, PackingWitness]:
@@ -101,9 +125,10 @@ def max_disjoint_min_nonfaces(K: SimplicialComplex) -> tuple[int, PackingWitness
     witness is the lexicographically least family of maximum size.  D = 0
     exactly when K is the full simplex.
     """
+    index = K.nonface_index
     best: list[int] = []
     while True:
-        packing = _least_packing(K.min_nonfaces, len(best) + 1, K.m)
+        packing = _least_packing(index, len(best) + 1, K.m)
         if packing is None:
             break
         best = packing
@@ -177,7 +202,7 @@ def is_r_unavoidable(K: SimplicialComplex, r: int) -> tuple[bool, Optional[Parti
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    packing = _least_packing(K.min_nonfaces, r, K.m)
+    packing = _least_packing(K.nonface_index, r, K.m)
     if packing is None:
         return True, None
     blocks = list(packing)
@@ -197,9 +222,9 @@ def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optio
         raise ValueError("need r > s >= 1")
     # The first room that admits a packing is the least total size, so its
     # packing is the lexicographically least one of least total size.
-    cands = K.min_nonfaces
-    for room in range(min(K.m - s + 1, _union(cands).bit_count()) + 1):
-        packing = _least_packing(cands, r - s + 1, room)
+    index = K.nonface_index
+    for room in range(min(K.m - s + 1, index.span(index.every)) + 1):
+        packing = _least_packing(index, r - s + 1, room)
         if packing is not None:
             break
     else:
@@ -215,7 +240,8 @@ def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optio
     return False, _partition_witness(K, blocks)
 
 
-def is_minimally_r_unavoidable(K: SimplicialComplex, r: int) -> bool:
+def is_minimally_r_unavoidable(K: SimplicialComplex, r: int, *,
+                               d_max: Optional[int] = None) -> bool:
     """True iff K is r-unavoidable but no facet deletion is.
 
     Facet deletions are the maximal proper subcomplexes, and unavoidability
@@ -226,15 +252,18 @@ def is_minimally_r_unavoidable(K: SimplicialComplex, r: int) -> bool:
     pairwise disjoint old minimal non-faces avoid F.  The empty facet is
     skipped: deleting it would leave the void family, which has no faces and
     is never unavoidable here.
+
+    A caller that already holds the packing number D passes it as ``d_max``;
+    K is then r-unavoidable iff D < r, and that is not proved again.
     """
-    ok, _ = is_r_unavoidable(K, r)
+    if r < 2:
+        raise ValueError("r must be at least 2")
+    ok = d_max < r if d_max is not None else is_r_unavoidable(K, r)[0]
     if not ok:
         return False
+    index = K.nonface_index
     for facet in K.facets:
-        if facet == 0:
-            continue
-        off_facet = [nf for nf in K.min_nonfaces if nf & facet == 0]
-        if _least_packing(off_facet, r - 1, K.m) is None:
+        if facet and _least_packing(index, r - 1, K.m, index.avoiding(facet, index.every)) is None:
             return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from unavoidable import SimplicialComplex, from_facets
 from unavoidable.bitsets import full_mask
@@ -93,6 +93,43 @@ def oracle_max_disjoint_nonfaces(K: SimplicialComplex) -> int:
         if ok:
             best = max(best, chosen)
     return best
+
+
+def oracle_least_packing(cands: list[int], k: int, room: int):
+    """Lexicographically least family of k pairwise disjoint masks from cands
+    whose sizes sum to at most room, or None, by pairwise disjointness tests.
+
+    Depth-first search in candidate order, so the first family found is the
+    least one.  A branch is cut when too few candidates remain, or when the
+    masks still needed, each at least as large as the smallest remaining
+    candidate, cannot fit into the vertices left: room, capped at the size of
+    the union of cands, minus the sizes chosen so far.
+    """
+    n = len(cands)
+    sizes = [c.bit_count() for c in cands]
+    smallest = list(accumulate(reversed(sizes), min))[::-1]  # min of sizes[i:]
+    out: list[int] = []
+
+    def rec(start: int, used: int, left: int) -> bool:
+        need = k - len(out)
+        if need == 0:
+            return True
+        for i in range(start, n):
+            if n - i < need or need * smallest[i] > left:
+                return False
+            cand = cands[i]
+            if cand & used or sizes[i] > left:
+                continue
+            out.append(cand)
+            if rec(i + 1, used | cand, left - sizes[i]):
+                return True
+            out.pop()
+        return False
+
+    union = 0
+    for cand in cands:
+        union |= cand
+    return out if rec(0, 0, min(room, union.bit_count())) else None
 
 
 def oracle_wh_measure(members, omega, subset_mask: int) -> Fraction:

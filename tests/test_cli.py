@@ -46,6 +46,12 @@ def test_pi_command(points5, capsys):
     assert "3-unavoidable = true" in out
     assert "(3,2)-unavoidable = false" in out
 
+    # pi = 3 (D = 2): the check at r = D = 2 fails, with the least witness.
+    assert run(["--json", "pi", points5, "--check", "2"]) == 0
+    (check,) = json.loads(_capture(capsys)[0])["results"]["r_checks"]
+    assert check["verdict"] is False
+    assert check["witness"] == {"blocks": [[1, 2, 5], [3, 4]], "offending": [True, True]}
+
 
 def test_pi_json_report(points5, capsys):
     assert run(["--json", "pi", points5]) == 0
@@ -90,6 +96,15 @@ def test_analyze_rejects_r_below_two(skel15, tmp_path, capsys):
     for path in (skel15, str(full)):
         for r in ("1", "0"):
             assert run(["analyze", path, "--r", r]) == 2
+            assert "r must be at least 2" in capsys.readouterr().err
+
+
+def test_pi_check_rejects_r_below_two(skel15, tmp_path, capsys):
+    full = tmp_path / "full.scx"
+    full.write_text("m 3\n1 2 3\n")
+    for path in (skel15, str(full)):
+        for r in ("1", "0"):
+            assert run(["pi", path, "--check", r]) == 2
             assert "r must be at least 2" in capsys.readouterr().err
 
 

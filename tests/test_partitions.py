@@ -18,15 +18,19 @@ from unavoidable import (
     partition_number,
     partition_number_oracle,
     points,
+    random_selfdual,
     skeleton,
 )
-from unavoidable.bitsets import full_mask
+from unavoidable.bitsets import elements, full_mask
+from unavoidable.complexes import AntichainIndex
 from unavoidable.errors import BudgetExceededError
+from unavoidable.partitions import PACKING_NODE_LIMIT, _least_packing
 
 from oracles import (
     all_complexes,
     is_face_naive,
     named_small_examples,
+    oracle_least_packing,
     oracle_max_disjoint_nonfaces,
     oracle_partition_number,
     oracle_r_unavoidable_subpartitions,
@@ -92,6 +96,43 @@ def test_packing_bound_decides_large_examples():
     assert partition_number(skeleton(2, 16)) == 5
     assert partition_number(points(16)) == 9
     assert not is_minimally_r_unavoidable(points(16), 9)
+
+
+def test_bitset_search_matches_pairwise_search():
+    # Random antichains, each member ranked by its vertex tuple as in a
+    # complex; every call varies k, the room and the live members.
+    rng = random.Random(101)
+    for _ in range(2000):
+        m = rng.randint(1, 10)
+        family = {rng.getrandbits(m) | 1 << rng.randrange(m) for _ in range(rng.randint(1, 14))}
+        cands = sorted((a for a in family if not any(b != a and b & ~a == 0 for b in family)),
+                       key=elements)
+        index = AntichainIndex.of(m, cands)
+        live = rng.getrandbits(len(cands)) if rng.random() < 0.5 else index.every
+        k, room = rng.randint(0, 4), rng.randint(0, m)
+        alive = [c for i, c in enumerate(cands) if live >> i & 1]
+        assert _least_packing(index, k, room, live) == oracle_least_packing(alive, k, room), \
+            (m, cands, live, k, room)
+
+
+def test_packing_search_stops_at_its_node_limit():
+    # The 120 triangles of K_10 as edge masks over its 45 edges: 13 of them
+    # are pairwise edge-disjoint, but no sound cut here proves that 14 are
+    # not, so the search ends at its node limit instead of running on.
+    edge = {e: i for i, e in enumerate(combinations(range(10), 2))}
+    triangles = sorted((sum(1 << edge[e] for e in combinations(t, 2))
+                        for t in combinations(range(10), 3)), key=elements)
+    index = AntichainIndex.of(45, triangles)
+    assert len(_least_packing(index, 13, 45)) == 13
+    with pytest.raises(BudgetExceededError, match=f"exceeded {PACKING_NODE_LIMIT} nodes"):
+        _least_packing(index, 14, 45)
+
+
+def test_packing_search_proves_many_intersecting_nonfaces():
+    # 12027 pairwise intersecting minimal non-faces at m = 18 and 3257 at
+    # m = 16; the search proves both in well under a second.
+    assert partition_number(random_selfdual(18, 0)) == 2
+    assert is_minimally_r_unavoidable(random_selfdual(16, 0), 2)
 
 
 def test_packing_witness_is_valid_and_deterministic():
@@ -316,6 +357,17 @@ def test_packing_characterization_exhaustive_m_le_5():
     for m in (1, 2, 3, 4, 5):
         for K in all_complexes(m):
             assert partition_number(K) == partition_number_oracle(K), K
+
+
+def test_minimality_given_the_packing_number_agrees():
+    rng = random.Random(33)
+    for _ in range(60):
+        K = random_complex(rng, rng.randint(2, 7))
+        d = max_disjoint_min_nonfaces(K)[0]
+        for r in (2, 3, 4):
+            assert is_minimally_r_unavoidable(K, r, d_max=d) == is_minimally_r_unavoidable(K, r)
+    with pytest.raises(ValueError):
+        is_minimally_r_unavoidable(from_facets(3, [[1, 2, 3]]), 1, d_max=0)
 
 
 def test_minimality_agrees_with_generic_facet_deletion():
