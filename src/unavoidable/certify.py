@@ -121,11 +121,7 @@ def exit_code(cert: Certificate) -> int:
 
 def _check_factor(K: SimplicialComplex, r: int, s: Optional[int]) -> FactorCheck:
     d_max, _ = max_disjoint_min_nonfaces(K)
-    if s is None:
-        ok = d_max < r
-        witness = None if ok else is_r_unavoidable(K, r)[1]
-    else:
-        ok, witness = is_rs_unavoidable(K, r, s)
+    ok, witness = is_r_unavoidable(K, r) if s is None else is_rs_unavoidable(K, r, s)
     return FactorCheck(
         m=K.m,
         r=r,

@@ -87,10 +87,11 @@ def _read(path: str, report: dict) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from None
     report["inputs"][path] = "sha256:" + hashlib.sha256(data).hexdigest()
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    return text
 
 
 def _load_complex(path: str, report: dict) -> SimplicialComplex:
@@ -229,8 +230,11 @@ _SCHEMAS = {
 
 def _scx_out(args, text: str, plain_lines_prefix: list[str]) -> list[str]:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"{args.output}: {exc}") from None
         return plain_lines_prefix + [f"wrote {args.output}"]
     return plain_lines_prefix + [text.rstrip("\n")]
 
@@ -247,13 +251,7 @@ def _cmd_pi(args, report):
             s = int(s_text) if colon else None
         except ValueError:
             raise UsageError(f"bad --check value {check_text!r}; use R or R:S") from None
-        if s is None:
-            if r < 2:
-                raise ValueError("r must be at least 2")
-            ok = d_max < r  # K is r-unavoidable iff D < r
-            witness = None if ok else is_r_unavoidable(K, r)[1]
-        else:
-            ok, witness = is_rs_unavoidable(K, r, s)
+        ok, witness = is_r_unavoidable(K, r) if s is None else is_rs_unavoidable(K, r, s)
         r_checks.append({"r": r, "s": s, "verdict": ok,
                          "witness": None if witness is None else asdict(witness)})
     results = {
@@ -287,11 +285,10 @@ def _cmd_analyze(args, report):
     }
     plain = [f"m = {K.m}", f"pi = {pi}", f"self_dual = {str(dual).lower()}"]
     if args.r is not None:
-        ok = pi <= args.r  # pi = D + 1, and K is r-unavoidable iff D < r
-        witness = None if ok else is_r_unavoidable(K, args.r)[1]
+        ok, witness = is_r_unavoidable(K, args.r)
         results["unavoidable"] = ok
         results["witness"] = None if witness is None else asdict(witness)
-        results["minimally_unavoidable"] = is_minimally_r_unavoidable(K, args.r, d_max=pi - 1)
+        results["minimally_unavoidable"] = is_minimally_r_unavoidable(K, args.r)
         plain.append(f"r = {args.r}")
         plain.append(f"unavoidable = {str(ok).lower()}")
         plain.append(f"minimally_unavoidable = {str(results['minimally_unavoidable']).lower()}")

@@ -26,15 +26,15 @@ Conventions:
 All values are immutable after construction and every operation is a pure
 function, so values may be shared freely across threads.  A complex memoizes
 one derived value, the bitset index of its minimal non-faces that the packing
-searches share; it is a deterministic function of the fields, so a race can
-only build it twice.
+searches share (with their memo of least packings); each is a deterministic
+function of the fields, so a race can only compute one of them twice.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -168,11 +168,14 @@ class AntichainIndex:
     disjoint from a set c are the AND of ``~rows[v]`` over the vertices of c
     (one AND-NOT with the OR of those rows).
     ``fits[s]`` marks the members with at most s vertices (s = 0..m).
+    ``_packings`` is the memo of :mod:`unavoidable.partitions`; ``==``,
+    ``hash`` and ``repr`` ignore it.
     """
 
     masks: tuple[int, ...]
     rows: tuple[int, ...]
     fits: tuple[int, ...]
+    _packings: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, m: int, masks: Sequence[int]) -> AntichainIndex:

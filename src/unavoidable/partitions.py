@@ -24,7 +24,10 @@ candidates too large for the vertices left.  The rows and the table form
 the complex's ``nonface_index``, built once per complex, so the k loop of
 ``max_disjoint_min_nonfaces``, every room of ``is_rs_unavoidable`` and every
 facet of ``is_minimally_r_unavoidable`` share it.  Each search stops with
-``BudgetExceededError`` after ``PACKING_NODE_LIMIT`` nodes.
+``BudgetExceededError`` after ``PACKING_NODE_LIMIT`` nodes.  This module
+owns the index's memo of least k-packings in room m (``_full_packing``):
+``max_disjoint_min_nonfaces`` fills it and ``is_r_unavoidable`` reads it, so
+no r-unavoidability verdict repeats a search that pi(K) has made.
 """
 
 from __future__ import annotations
@@ -118,6 +121,17 @@ def _least_packing(index: AntichainIndex, k: int, room: int,
     return out if rec(live & fits[left], left, k) else None
 
 
+def _full_packing(K: SimplicialComplex, k: int) -> Optional[tuple[int, ...]]:
+    """``_least_packing(K.nonface_index, k, K.m)`` as a tuple, memoized per k.
+    No search runs past a k without a packing: a k-packing holds smaller ones."""
+    memo = K.nonface_index._packings
+    if k not in memo:
+        none_below = any(memo.get(j, ()) is None for j in range(k))
+        packing = None if none_below else _least_packing(K.nonface_index, k, K.m)
+        memo[k] = None if packing is None else tuple(packing)
+    return memo[k]
+
+
 def max_disjoint_min_nonfaces(K: SimplicialComplex) -> tuple[int, PackingWitness]:
     """Maximum pairwise disjoint family of minimal non-faces, with its witness.
 
@@ -125,10 +139,9 @@ def max_disjoint_min_nonfaces(K: SimplicialComplex) -> tuple[int, PackingWitness
     witness is the lexicographically least family of maximum size.  D = 0
     exactly when K is the full simplex.
     """
-    index = K.nonface_index
-    best: list[int] = []
+    best: tuple[int, ...] = ()
     while True:
-        packing = _least_packing(index, len(best) + 1, K.m)
+        packing = _full_packing(K, len(best) + 1)
         if packing is None:
             break
         best = packing
@@ -202,7 +215,7 @@ def is_r_unavoidable(K: SimplicialComplex, r: int) -> tuple[bool, Optional[Parti
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    packing = _least_packing(K.nonface_index, r, K.m)
+    packing = _full_packing(K, r)
     if packing is None:
         return True, None
     blocks = list(packing)
@@ -240,8 +253,7 @@ def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optio
     return False, _partition_witness(K, blocks)
 
 
-def is_minimally_r_unavoidable(K: SimplicialComplex, r: int, *,
-                               d_max: Optional[int] = None) -> bool:
+def is_minimally_r_unavoidable(K: SimplicialComplex, r: int) -> bool:
     """True iff K is r-unavoidable but no facet deletion is.
 
     Facet deletions are the maximal proper subcomplexes, and unavoidability
@@ -252,14 +264,8 @@ def is_minimally_r_unavoidable(K: SimplicialComplex, r: int, *,
     pairwise disjoint old minimal non-faces avoid F.  The empty facet is
     skipped: deleting it would leave the void family, which has no faces and
     is never unavoidable here.
-
-    A caller that already holds the packing number D passes it as ``d_max``;
-    K is then r-unavoidable iff D < r, and that is not proved again.
     """
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    ok = d_max < r if d_max is not None else is_r_unavoidable(K, r)[0]
-    if not ok:
+    if not is_r_unavoidable(K, r)[0]:
         return False
     index = K.nonface_index
     for facet in K.facets:

@@ -36,6 +36,7 @@ from .complexes import (
     GeometricMeasure,
     Measure,
     RationalLike,
+    SWEEP_MAX_GROUND_SET,
     SimplicialComplex,
     as_fraction,
     is_self_dual,
@@ -45,7 +46,6 @@ from .errors import BudgetExceededError
 from .lp import maximize
 from .partitions import is_r_unavoidable
 
-WH_MAX_GROUND_SET = 22
 WH_MAX_FAMILY = 4096
 DEFAULT_LP_CONSTRAINT_CAP = 100_000
 
@@ -72,8 +72,8 @@ class WeightedHypergraph:
 
     def __init__(self, m: int, members: Sequence[SubsetLike], omega: Sequence[RationalLike]):
         check_ground_set(m)
-        if m > WH_MAX_GROUND_SET:
-            raise BudgetExceededError(f"weighted hypergraphs support m <= {WH_MAX_GROUND_SET}")
+        if m > SWEEP_MAX_GROUND_SET:
+            raise BudgetExceededError(f"weighted hypergraphs support m <= {SWEEP_MAX_GROUND_SET}")
         masks = [as_mask(m, x) for x in members]
         weights = [as_fraction(w) for w in omega]
         if len(masks) != len(weights):

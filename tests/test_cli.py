@@ -236,6 +236,23 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert "use R or R:S" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_a_usage_error(points5, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.scx")
+    for argv in (["dual", points5], ["gen", "points", "--m", "5"], ["join", points5, points5]):
+        assert run(argv + ["-o", target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.scx"
+    bad.write_bytes(b"m 3\n1 \xff\n")
+    assert run(["pi", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     path = tmp_path / "p10.scx"
     run(["gen", "points", "--m", "10", "-o", str(path)])

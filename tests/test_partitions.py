@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unavoidable.partitions
 from unavoidable import (
     from_facets,
     hypergraph_partition_number,
@@ -359,15 +360,50 @@ def test_packing_characterization_exhaustive_m_le_5():
             assert partition_number(K) == partition_number_oracle(K), K
 
 
-def test_minimality_given_the_packing_number_agrees():
+def test_memoized_verdicts_match_fresh_ones():
+    # The same complex built twice: one copy answers from a memo that
+    # max_disjoint_min_nonfaces filled, a fresh copy per call searches.
     rng = random.Random(33)
-    for _ in range(60):
-        K = random_complex(rng, rng.randint(2, 7))
-        d = max_disjoint_min_nonfaces(K)[0]
-        for r in (2, 3, 4):
-            assert is_minimally_r_unavoidable(K, r, d_max=d) == is_minimally_r_unavoidable(K, r)
-    with pytest.raises(ValueError):
-        is_minimally_r_unavoidable(from_facets(3, [[1, 2, 3]]), 1, d_max=0)
+    for _ in range(500):
+        K = random_complex(rng, rng.randint(1, 8))
+        max_disjoint_min_nonfaces(K)
+        for r in range(2, 6):
+            fresh = from_facets(K.m, K.facets)
+            assert is_r_unavoidable(K, r) == is_r_unavoidable(fresh, r), (K, r)
+            fresh = from_facets(K.m, K.facets)
+            assert is_minimally_r_unavoidable(K, r) == is_minimally_r_unavoidable(fresh, r)
+    with pytest.raises(ValueError, match="r must be at least 2"):
+        is_minimally_r_unavoidable(from_facets(3, [[1, 2, 3]]), 1)
+
+
+def test_verdicts_after_the_packing_number_run_no_search(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _least_packing(*args)
+
+    monkeypatch.setattr(unavoidable.partitions, "_least_packing", counted)
+    K = skeleton(2, 12)
+    assert max_disjoint_min_nonfaces(K)[0] == 3
+    assert calls == [1, 2, 3, 4]
+    verdicts = [is_r_unavoidable(K, r) for r in range(2, 7)]
+    assert calls == [1, 2, 3, 4]
+    assert [ok for ok, _ in verdicts] == [False, False, True, True, True]
+    # Past a k without a packing, larger k are answered without a search.
+    L = skeleton(2, 12)
+    assert is_r_unavoidable(L, 5)[0] and is_r_unavoidable(L, 9)[0]
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def test_packing_memo_is_not_part_of_the_value():
+    K, L = skeleton(2, 7), skeleton(2, 7)
+    max_disjoint_min_nonfaces(K)
+    assert K.nonface_index._packings and not L.nonface_index._packings
+    assert K == L and hash(K) == hash(L)
+    assert K.nonface_index == L.nonface_index
+    assert hash(K.nonface_index) == hash(L.nonface_index)
+    assert repr(K.nonface_index) == repr(L.nonface_index)
 
 
 def test_minimality_agrees_with_generic_facet_deletion():
