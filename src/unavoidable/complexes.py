@@ -3,8 +3,8 @@
 A complex is stored by its facets (inclusion-maximal faces) together with the
 cached antichain of minimal non-faces computed at construction time, as the
 minimal transversals of the facet complements (threshold complexes of
-additive measures enumerate both antichains directly).  The two antichains
-support both membership routes:
+additive measures enumerate both antichains directly, in one depth-first
+pass).  The two antichains support both membership routes:
 
     A is a face  <=>  A is contained in some facet
                  <=>  A contains no minimal non-face
@@ -442,61 +442,39 @@ class GeometricMeasure:
 SWEEP_MAX_GROUND_SET = 22
 
 
-def _heaviest_first(mu: Measure, threshold: Fraction):
-    # The weights and the threshold as integers over one common denominator,
-    # with the weights and vertex bits in order of decreasing weight and the
-    # suffix sums of the weights in that order.
+def _threshold_antichains(mu: Measure, threshold: Fraction) -> tuple[list[int], list[int]]:
+    # The facets (maximal A with w(A) <= T) and the minimal non-faces (minimal
+    # A with w(A) > T) in one depth-first pass.  The weights and T are
+    # integers over one common denominator, and vertices are decided
+    # heaviest first.  A branch ends as soon as all remaining vertices fit:
+    # their union is its one maximal completion, and a facet, because the
+    # last vertex u left out was left out where the rest did not all fit, so
+    # w(A) + w(u) > T, and every vertex left out earlier weighs at least w(u).
+    # A vertex that does not fit is the lightest of chosen plus itself, so
+    # that set minus any one vertex weighs at most T: a minimal non-face.
     D = math.lcm(threshold.denominator, *(w.denominator for w in mu.weights))
     order = sorted(range(mu.m), key=lambda i: -mu.weights[i])
     ws = [mu.weights[i].numerator * (D // mu.weights[i].denominator) for i in order]
+    bits = [1 << i for i in order]
     suffix = list(accumulate(reversed(ws), initial=0))[::-1]
-    return ws, [1 << i for i in order], suffix, threshold.numerator * (D // threshold.denominator)
-
-
-def _threshold_facets(mu: Measure, threshold: Fraction) -> list[int]:
-    # The maximal A with w(A) <= T.  Vertices are decided heaviest first, and
-    # a branch ends as soon as all remaining vertices fit: their union is its
-    # one maximal completion.  So every branch ends in a facet: the last
-    # vertex u left out was left out where the rest did not all fit, and
-    # every later vertex is in A, so w(A) + w(u) > T; every vertex left out
-    # earlier weighs at least w(u).
-    ws, bits, suffix, T = _heaviest_first(mu, threshold)
     rest = list(accumulate(reversed(bits), operator.or_, initial=0))[::-1]
-    out: list[int] = []
+    T = threshold.numerator * (D // threshold.denominator)
+    facets: list[int] = []
+    nonfaces: list[int] = []
 
     def grow(k: int, chosen: int, weight: int) -> None:
         if weight + suffix[k] <= T:
-            out.append(chosen | rest[k])
+            facets.append(chosen | rest[k])
             return
         w = ws[k]
         if weight + w <= T:
             grow(k + 1, chosen | bits[k], weight + w)
-        grow(k + 1, chosen, weight)
-
-    grow(0, 0, 0)
-    return out
-
-
-def _threshold_min_nonfaces(mu: Measure, threshold: Fraction) -> list[int]:
-    # The minimal A with w(A) > T.  Vertices are taken heaviest first, so the
-    # vertex that first lifts the weight past T is the lightest of A, and A
-    # minus any vertex weighs at most T: every cover found is minimal.  A
-    # branch ends when the remaining vertices cannot lift it past T.
-    ws, bits, suffix, T = _heaviest_first(mu, threshold)
-    out: list[int] = []
-
-    def grow(k: int, chosen: int, weight: int) -> None:
-        if weight + suffix[k] <= T:
-            return
-        w = ws[k]
-        if weight + w > T:
-            out.append(chosen | bits[k])
         else:
-            grow(k + 1, chosen | bits[k], weight + w)
+            nonfaces.append(chosen | bits[k])
         grow(k + 1, chosen, weight)
 
     grow(0, 0, 0)
-    return out
+    return facets, nonfaces
 
 
 def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
@@ -508,8 +486,8 @@ def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
 
     * A :class:`Measure` gives a threshold complex.  Its weights and beta are
       scaled to integers over one common denominator, and both antichains
-      are enumerated directly by depth-first searches over the vertices,
-      heaviest first, with suffix-sum cuts (Peled-Simeone 1985): the facets
+      are enumerated directly by one depth-first pass over the vertices,
+      heaviest first, with a suffix-sum cut (Peled-Simeone 1985): the facets
       are the maximal sets of weight at most beta, the minimal non-faces the
       minimal sets of weight above it.  No face is walked and no
       dualization runs.
@@ -526,14 +504,12 @@ def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
     if nu.m > SWEEP_MAX_GROUND_SET:
         raise BudgetExceededError(f"sub-level sweeps support m <= {SWEEP_MAX_GROUND_SET}")
     if isinstance(nu, Measure):
-        return SimplicialComplex(
-            m=nu.m,
-            facets=tuple(sorted(_threshold_facets(nu, threshold), key=elements)),
-            min_nonfaces=tuple(sorted(_threshold_min_nonfaces(nu, threshold), key=elements)),
-        )
+        facets, nonfaces = _threshold_antichains(nu, threshold)
+        return SimplicialComplex(m=nu.m, facets=tuple(sorted(facets, key=elements)),
+                                 min_nonfaces=tuple(sorted(nonfaces, key=elements)))
     if isinstance(nu, GeometricMeasure):
         return from_facets(nu.m, [facet for mu in nu.components
-                                  for facet in _threshold_facets(mu, threshold)])
+                                  for facet in _threshold_antichains(mu, threshold)[0]])
     full = full_mask(nu.m)
     facets: list[int] = []
     nonfaces: set[int] = set()

@@ -26,8 +26,9 @@ the complex's ``nonface_index``, built once per complex, so the k loop of
 facet of ``is_minimally_r_unavoidable`` share it.  Each search stops with
 ``BudgetExceededError`` after ``PACKING_NODE_LIMIT`` nodes.  This module
 owns the index's memo of least k-packings in room m (``_full_packing``):
-``max_disjoint_min_nonfaces`` fills it and ``is_r_unavoidable`` reads it, so
-no r-unavoidability verdict repeats a search that pi(K) has made.
+``max_disjoint_min_nonfaces`` fills it, and ``is_r_unavoidable`` and
+``is_rs_unavoidable`` read it, so no r-unavoidability verdict repeats a
+search that pi(K) has made.
 """
 
 from __future__ import annotations
@@ -233,15 +234,19 @@ def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optio
     """
     if not r > s >= 1:
         raise ValueError("need r > s >= 1")
-    # The first room that admits a packing is the least total size, so its
-    # packing is the lexicographically least one of least total size.
-    index = K.nonface_index
-    for room in range(min(K.m - s + 1, index.span(index.every)) + 1):
-        packing = _least_packing(index, r - s + 1, room)
-        if packing is not None:
-            break
-    else:
+    # The least k-packing in room m, from the memo, is also the least one in
+    # the smaller room when it fits there, and settles every room when it is
+    # None.  Below it, each packing found caps the next search at its total
+    # size minus one, so the last one found is the lexicographically least
+    # packing of least total size.
+    index, k, room = K.nonface_index, r - s + 1, K.m - s + 1
+    packing = _full_packing(K, k) if room >= 0 else None
+    if packing is not None and _union(packing).bit_count() > room:
+        packing = _least_packing(index, k, room)
+    if packing is None:
         return True, None
+    while (smaller := _least_packing(index, k, _union(packing).bit_count() - 1)) is not None:
+        packing = smaller
     leftover = full_mask(K.m) & ~_union(packing)
     blocks = list(packing)
     if s == 1:

@@ -48,6 +48,7 @@ from .partitions import is_r_unavoidable
 
 WH_MAX_FAMILY = 4096
 DEFAULT_LP_CONSTRAINT_CAP = 100_000
+_DUAL_NOTE_LIMIT = 24  # weights listed in a dual note; the rest are only counted
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -171,17 +172,16 @@ class LpVerdict:
     infeasibility_note: Optional[str]
 
 
-def _dual_note(upper: Sequence[int], lower: Sequence[int], y: Sequence[Fraction],
-               limit: int = 24) -> str:
+def _dual_note(upper: Sequence[int], lower: Sequence[int], y: Sequence[Fraction]) -> str:
     """The nonzero weights of a dual vector or Farkas ray (y1, y2, u_F..., v_N...)
     of the margin LP, labelled by the constraint each one multiplies."""
     nf = len(upper)
     labels = [("total-mass", y[0] - y[1])] if y[0] != y[1] else []
     labels += [(f"facet {elements(fs)}", w) for fs, w in zip(upper, y[2:2 + nf]) if w]
     labels += [(f"non-face {elements(ns)}", w) for ns, w in zip(lower, y[2 + nf:]) if w]
-    shown = [f"{label} x {weight}" for label, weight in labels[:limit]]
-    if len(labels) > limit:
-        shown.append(f"... ({len(labels) - limit} more)")
+    shown = [f"{label} x {weight}" for label, weight in labels[:_DUAL_NOTE_LIMIT]]
+    if len(labels) > _DUAL_NOTE_LIMIT:
+        shown.append(f"... ({len(labels) - _DUAL_NOTE_LIMIT} more)")
     return "; ".join(shown)
 
 

@@ -132,6 +132,33 @@ def oracle_least_packing(cands: list[int], k: int, room: int):
     return out if rec(0, 0, min(room, union.bit_count())) else None
 
 
+def oracle_rs_blocks(K: SimplicialComplex, r: int, s: int):
+    """The block masks of the (r, s) witness partition, or None when every
+    partition of [m] into r blocks has at least s face blocks, by a scan over
+    the rooms from 0 up to m-s+1.
+
+    The first room that admits r-s+1 pairwise disjoint minimal non-faces is
+    their least total size, so its least packing is the lexicographically
+    least one of least total size.  The vertices left over join the first
+    block when s = 1; otherwise all but one of the s-1 extra blocks are
+    singletons and the last takes the rest.
+    """
+    cands = list(K.min_nonfaces)
+    for room in range(K.m - s + 2):
+        packing = oracle_least_packing(cands, r - s + 1, room)
+        if packing is not None:
+            break
+    else:
+        return None
+    used = 0
+    for block in packing:
+        used |= block
+    rest = [1 << v for v in range(K.m) if not used >> v & 1]
+    if s == 1:
+        return [packing[0] | sum(rest)] + packing[1:]
+    return packing + rest[: s - 2] + [sum(rest[s - 2:])]
+
+
 def oracle_wh_measure(members, omega, subset_mask: int) -> Fraction:
     """Best total weight over all pairwise disjoint subfamilies inside the subset."""
     best = Fraction(0)

@@ -35,6 +35,7 @@ from oracles import (
     oracle_max_disjoint_nonfaces,
     oracle_partition_number,
     oracle_r_unavoidable_subpartitions,
+    oracle_rs_blocks,
     random_complex,
 )
 
@@ -325,6 +326,63 @@ def test_rs_false_witness_has_few_face_blocks():
             covered = sorted(chain.from_iterable(witness.blocks))
             assert covered == list(range(1, K.m + 1))
             assert sum(not off for off in witness.offending) <= s - 1
+
+
+def test_rs_witness_matches_the_room_scan():
+    # Random (r, s) on random complexes whose packing memo is empty, partly
+    # filled or full, against the scan over every room from 0 up.
+    rng = random.Random(25)
+    violated = 0
+    for _ in range(1000):
+        m = rng.randint(1, 11)
+        K = random_complex(rng, m, max_facets=8)
+        fill = rng.randrange(3)
+        if fill == 1:
+            is_r_unavoidable(K, rng.randint(2, 4))
+        elif fill == 2:
+            max_disjoint_min_nonfaces(K)
+        for _ in range(4):
+            r = rng.randint(2, m + 3)
+            s = rng.randint(1, r - 1)
+            blocks = oracle_rs_blocks(K, r, s)
+            ok, witness = is_rs_unavoidable(K, r, s)
+            assert ok == (blocks is None), (K, r, s)
+            if blocks is not None:
+                violated += 1
+                assert witness.blocks == tuple(elements(b) for b in blocks), (K, r, s)
+    assert violated >= 500
+
+
+def test_rs_verdicts_read_the_packing_memo(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return _least_packing(*args)
+
+    monkeypatch.setattr(unavoidable.partitions, "_least_packing", counted)
+    # No 2-packing in room m settles every smaller room: no search.
+    K = random_selfdual(16, 0)
+    assert max_disjoint_min_nonfaces(K)[0] == 1
+    calls.clear()
+    assert is_rs_unavoidable(K, 2, 1) == (True, None)
+    assert calls == []
+    # The least 3-packing of 4-sets needs 12 vertices: one search in room 11.
+    L = skeleton(2, 12)
+    max_disjoint_min_nonfaces(L)
+    calls.clear()
+    assert is_rs_unavoidable(L, 4, 2) == (True, None)
+    assert calls == [(3, 11)]
+    # The memo's 2-packing fits in room 4; one search shows none is smaller.
+    P = points(5)
+    max_disjoint_min_nonfaces(P)
+    calls.clear()
+    assert not is_rs_unavoidable(P, 3, 2)[0]
+    assert calls == [(2, 3)]
+    # A negative room (s > m + 1) admits no packing: no search, even on a fresh complex.
+    calls.clear()
+    assert is_rs_unavoidable(points(3), 6, 5) == (True, None)
+    assert calls == []
 
 
 # --- minimality -------------------------------------------------------------------

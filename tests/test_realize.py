@@ -413,15 +413,18 @@ def test_margin_lp_decides_large_examples():
     assert relaxed.infeasibility_note == K6_RELAXED_NOTE
 
 
-def _corrupt_margin_lp(monkeypatch, measure=None, shift=0):
+def _corrupt_margin_lp(monkeypatch, measure=None, shift=0, ray=None):
     """Make the margin LP's result carry the witness ``measure(mu)`` instead of
-    mu, and an optimum moved by ``shift``."""
+    mu and an optimum moved by ``shift``, or the Farkas ray ``ray(y)``
+    instead of y."""
     import unavoidable.realize
 
     solve = unavoidable.realize.maximize
 
     def corrupted(objective, rows):
         res = solve(objective, rows)
+        if res.status == "unbounded":
+            return res if ray is None else dataclasses.replace(res, ray=ray(res.ray))
         m, duals = len(rows) - 1, res.duals
         if measure is not None:
             duals = tuple(-w for w in measure(tuple(-d for d in duals[:m]))) + duals[m:]
@@ -452,6 +455,51 @@ def test_margin_lp_postconditions_catch_a_heavy_facet(monkeypatch):
     _corrupt_margin_lp(monkeypatch, measure=lambda mu: (Fraction(1),) + (0,) * (len(mu) - 1))
     with pytest.raises(RuntimeError, match="upper constraint"):
         is_linearly_realizable(skeleton(1, 5), 2)
+
+
+# The Farkas ray is y = (y1, y2, u_F..., v_N...); its last entry weights a
+# non-face, so it multiplies the margin row.
+RAY_CORRUPTIONS = {
+    "negative-weight": (lambda y: (-1,) + y[1:], "negative weights"),
+    "margin-row": (lambda y: y[:-1] + (y[-1] + 1,), "touches the margin row"),
+    "infeasible": (lambda y: (y[0], y[1] + 100) + y[2:], "not dual-feasible"),
+    "no-improvement": (lambda y: (y[0] + 100,) + y[1:], "does not improve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAY_CORRUPTIONS))
+def test_margin_lp_postconditions_catch_a_corrupted_farkas_ray(monkeypatch, case):
+    # The K_6 triangle complex at r = 2 has a contradictory margin LP, so the
+    # solver returns a Farkas ray.
+    K6, _ = ramsey_complex(6, contains_clique(3))
+    corruption, message = RAY_CORRUPTIONS[case]
+    _corrupt_margin_lp(monkeypatch, ray=corruption)
+    with pytest.raises(RuntimeError, match=message):
+        is_linearly_realizable(K6, 2)
+
+
+def test_relaxed_witness_checks_survive_optimization(monkeypatch):
+    # The relaxed witness's sub-level complex is re-checked by RuntimeErrors,
+    # not asserts, so both checks still run under python -O.
+    import unavoidable.realize
+
+    K = skeleton(1, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(unavoidable.realize, "sublevel_complex",
+                      lambda nu, beta: from_facets(5, [full_mask(5)]))
+        with pytest.raises(RuntimeError, match="not inside K"):
+            linear_subcomplex_witness(K, 2)
+    monkeypatch.setattr(unavoidable.realize, "is_r_unavoidable", lambda K, r: (False, None))
+    with pytest.raises(RuntimeError, match="is not r-unavoidable"):
+        linear_subcomplex_witness(K, 2)
+
+
+def test_canonical_realization_check_survives_optimization(monkeypatch):
+    import unavoidable.realize
+
+    monkeypatch.setattr(unavoidable.realize, "wh_realization_check", lambda K, r, F: False)
+    with pytest.raises(RuntimeError, match="does not realize the complex"):
+        selfdual_wh_realization(skeleton(1, 5))
 
 
 def test_lp_constraint_cap():
