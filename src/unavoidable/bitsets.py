@@ -5,9 +5,9 @@ instructions: containment is ``a & ~b == 0``, disjointness ``a & b == 0``.
 The hard library limit is m <= 63 so that masks stay machine words.
 
 The canonical serialization of a subset lists its vertices in increasing
-order; ``elements`` produces exactly that tuple, and sorting masks by
-``elements`` gives the lexicographic order used for every deterministic
-ordering in this package.
+order; ``elements`` produces exactly that tuple.  The lexicographic order of
+those tuples is the one order of subsets in this package: ``canonical`` owns
+it, and every stored antichain, witness and facet list follows it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,18 @@ def elements(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """The masks sorted as their ``elements`` tuples sort (the canonical order).
+
+    A key writes vertices 1, 2, ... up to the highest as "0" (in) or "1" (out),
+    "" for the empty mask.  A key that prefixes another is a subset's, with a
+    prefix tuple.  Else the first difference is the least vertex v in one set
+    only, the other has a larger vertex, and both orders put v's set first.
+    """
+    flip = str.maketrans("01", "10")
+    return tuple(sorted(masks, key=lambda a: bin(a)[:1:-1].translate(flip) if a else ""))
 
 
 def iter_singletons(mask: int) -> Iterator[int]:

@@ -18,8 +18,8 @@ Conventions:
   marker of :func:`alexander_dual`.
 * Vert(K) may be a proper subset of [m]; isolated ground-set elements are
   legal and count toward m everywhere.
-* Stored antichains are sorted by the lexicographic order of increasing
-  vertex tuples, making equality structural and all output deterministic.
+* Stored antichains are sorted by :func:`~unavoidable.bitsets.canonical`,
+  making equality structural and all output deterministic.
 * Measure arithmetic is exact: weights and thresholds are
   :class:`fractions.Fraction`; float input is rejected.
 
@@ -44,6 +44,7 @@ from .bitsets import (
     MAX_GROUND_SET,
     SubsetLike,
     as_mask,
+    canonical,
     check_ground_set,
     elements,
     full_mask,
@@ -207,7 +208,7 @@ class AntichainIndex:
 def _maximal_antichain(masks: Iterable[int]) -> list[int]:
     # The AND of a mask's vertex rows marks the masks that contain it (all
     # masks for the empty one), so the mask is maximal iff only its own bit is left.
-    uniq = sorted(set(masks))
+    uniq = canonical(set(masks))
     occ = _incidence_rows(max(uniq, default=0).bit_length(), uniq)
     every = (1 << len(uniq)) - 1
     out = []
@@ -255,7 +256,7 @@ def _min_nonfaces_from_facets(m: int, facets: tuple[int, ...]) -> tuple[int, ...
             cand |= low
 
     grow(0, [], edges, (1 << len(edges)) - 1, full)
-    return tuple(sorted(out, key=elements))
+    return canonical(out)
 
 
 def from_facets(m: int, facets: Iterable[SubsetLike]) -> SimplicialComplex:
@@ -270,12 +271,13 @@ def from_facets(m: int, facets: Iterable[SubsetLike]) -> SimplicialComplex:
     if not masks:
         raise ValueError("facet list is empty: the void complex cannot be represented "
                          "(give the complex {0} as the single empty facet)")
-    facets_sorted = tuple(sorted(_maximal_antichain(masks), key=elements))
-    return SimplicialComplex(
-        m=m,
-        facets=facets_sorted,
-        min_nonfaces=_min_nonfaces_from_facets(m, facets_sorted),
-    )
+    maximal = tuple(_maximal_antichain(masks))
+    return SimplicialComplex(m, maximal, _min_nonfaces_from_facets(m, maximal))
+
+
+def _complex(m: int, facets: Iterable[int], nonfaces: Iterable[int]) -> SimplicialComplex:
+    # Both antichains are already known; only their order is set here.
+    return SimplicialComplex(m, canonical(facets), canonical(nonfaces))
 
 
 def alexander_dual(K: SimplicialComplex):
@@ -288,11 +290,7 @@ def alexander_dual(K: SimplicialComplex):
     full = full_mask(K.m)
     if not K.min_nonfaces:
         return VOID
-    return SimplicialComplex(
-        m=K.m,
-        facets=tuple(sorted((full ^ nf for nf in K.min_nonfaces), key=elements)),
-        min_nonfaces=tuple(sorted((full ^ facet for facet in K.facets), key=elements)),
-    )
+    return _complex(K.m, (full ^ nf for nf in K.min_nonfaces), (full ^ facet for facet in K.facets))
 
 
 def is_self_dual(K: SimplicialComplex) -> bool:
@@ -319,11 +317,7 @@ def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     # Minimal non-faces of a join are the minimal non-faces of the factors:
     # a subset splits over the two blocks, and it is a face iff both parts are.
     nonfaces = list(K1.min_nonfaces) + [nf << shift for nf in K2.min_nonfaces]
-    return SimplicialComplex(
-        m=m,
-        facets=tuple(sorted(facets, key=elements)),
-        min_nonfaces=tuple(sorted(nonfaces, key=elements)),
-    )
+    return _complex(m, facets, nonfaces)
 
 
 def delete_facet(K: SimplicialComplex, facet: SubsetLike) -> SimplicialComplex:
@@ -347,11 +341,7 @@ def delete_facet(K: SimplicialComplex, facet: SubsetLike) -> SimplicialComplex:
     # The deleted facet becomes a minimal non-face; old minimal non-faces
     # survive unless they strictly contain it.
     new_nonfaces = [mask] + [nf for nf in K.min_nonfaces if mask & ~nf != 0]
-    return SimplicialComplex(
-        m=K.m,
-        facets=tuple(sorted(new_facets, key=elements)),
-        min_nonfaces=tuple(sorted(new_nonfaces, key=elements)),
-    )
+    return _complex(K.m, new_facets, new_nonfaces)
 
 
 @dataclass(frozen=True)
@@ -504,9 +494,7 @@ def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
     if nu.m > SWEEP_MAX_GROUND_SET:
         raise BudgetExceededError(f"sub-level sweeps support m <= {SWEEP_MAX_GROUND_SET}")
     if isinstance(nu, Measure):
-        facets, nonfaces = _threshold_antichains(nu, threshold)
-        return SimplicialComplex(m=nu.m, facets=tuple(sorted(facets, key=elements)),
-                                 min_nonfaces=tuple(sorted(nonfaces, key=elements)))
+        return _complex(nu.m, *_threshold_antichains(nu, threshold))
     if isinstance(nu, GeometricMeasure):
         return from_facets(nu.m, [facet for mu in nu.components
                                   for facet in _threshold_antichains(mu, threshold)[0]])

@@ -12,8 +12,8 @@ and K is r-unavoidable iff no r pairwise disjoint minimal non-faces exist.
 A literal brute-force oracle over set partitions guards the reduction.
 
 One bounded search, ``_least_packing``, answers every packing question.  It
-scans candidates in the lexicographic order of their vertex tuples, so
-returned witnesses are the lexicographically least ones and runs reproduce
+scans candidates in :func:`~unavoidable.bitsets.canonical` order, so the
+witnesses it returns are the lexicographically least ones and runs reproduce
 bit-identically regardless of scheduling.
 
 The search is bit-parallel, in the manner of the bitset clique search of
@@ -234,18 +234,28 @@ def is_rs_unavoidable(K: SimplicialComplex, r: int, s: int) -> tuple[bool, Optio
     """
     if not r > s >= 1:
         raise ValueError("need r > s >= 1")
-    # The least k-packing in room m, from the memo, is also the least one in
+    # No k-packing is smaller than the k smallest minimal non-faces together
+    # (``least``), so a room below that settles the verdict unsearched.  The
+    # least k-packing in room m, from the memo, is also the least one in
     # the smaller room when it fits there, and settles every room when it is
     # None.  Below it, each packing found caps the next search at its total
-    # size minus one, so the last one found is the lexicographically least
-    # packing of least total size.
+    # size minus one, until a search fails or the total reaches ``least``,
+    # so the last one found is the lexicographically least packing of least
+    # total size.
     index, k, room = K.nonface_index, r - s + 1, K.m - s + 1
-    packing = _full_packing(K, k) if room >= 0 else None
+    sizes = sorted(mask.bit_count() for mask in index.masks)
+    least = sum(sizes[:k])
+    if len(sizes) < k or least > room:
+        return True, None
+    packing = _full_packing(K, k)
     if packing is not None and _union(packing).bit_count() > room:
         packing = _least_packing(index, k, room)
     if packing is None:
         return True, None
-    while (smaller := _least_packing(index, k, _union(packing).bit_count() - 1)) is not None:
+    while (total := _union(packing).bit_count()) > least:
+        smaller = _least_packing(index, k, total - 1)
+        if smaller is None:
+            break
         packing = smaller
     leftover = full_mask(K.m) & ~_union(packing)
     blocks = list(packing)

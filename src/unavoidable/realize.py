@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bitsets import SubsetLike, as_mask, check_ground_set, elements, full_mask
+from .bitsets import SubsetLike, as_mask, canonical, check_ground_set, elements, full_mask
 from .complexes import (
     GeometricMeasure,
     Measure,
@@ -87,14 +87,14 @@ class WeightedHypergraph:
             raise ValueError("duplicate family members are forbidden")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        order = sorted(range(len(masks)), key=lambda i: elements(masks[i]))
+        paired = dict(zip(masks, weights))  # the masks are distinct
         by_low: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
         for mask, w in zip(masks, weights):
             if w:
                 by_low[(mask & -mask).bit_length() - 1].append((mask, w))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "members", tuple(masks[i] for i in order))
-        object.__setattr__(self, "omega", tuple(weights[i] for i in order))
+        object.__setattr__(self, "members", canonical(masks))
+        object.__setattr__(self, "omega", tuple(paired[mask] for mask in self.members))
         object.__setattr__(self, "_by_low", tuple(tuple(bucket) for bucket in by_low))
         object.__setattr__(self, "_memo", {0: ZERO})
 
@@ -380,6 +380,9 @@ def weights_from_json(obj: dict) -> WeightedHypergraph:
     # as a bit mask by the constructor.
     if not isinstance(family, list) or not all(isinstance(member, list) for member in family):
         raise ValueError('"family" must be a list of vertex lists, e.g. [[1, 2], [3]]')
+    # A string would be read as one weight per character.
+    if not isinstance(omega, list):
+        raise ValueError('"omega" must be a list of weights, e.g. ["1/2", "1"]')
     return WeightedHypergraph(m, family, omega)
 
 
@@ -389,6 +392,9 @@ def measure_to_json(mu: Measure) -> dict:
 
 def measure_from_json(obj: dict) -> Measure:
     try:
-        return Measure(tuple(obj["weights"]))
+        weights = obj["weights"]
     except KeyError as exc:
         raise ValueError(f"measure object is missing key {exc}") from None
+    if not isinstance(weights, list):  # a string would be read one weight per character
+        raise ValueError('"weights" must be a list of weights, e.g. ["1/2", "1/2"]')
+    return Measure(tuple(weights))

@@ -168,6 +168,21 @@ def test_wh_weights_bare_int_members_are_input_errors(tmp_path, capsys):
     assert "verdict = false" in _capture(capsys)[0]
 
 
+def test_wh_weights_string_omega_is_input_error(tmp_path, capsys):
+    # "11" is not a weight list; read per character it would be the weights 1 and 1.
+    path = tmp_path / "p2.scx"
+    assert run(["gen", "points", "--m", "2", "-o", str(path)]) == 0
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"m": 2, "family": [[1], [2]], "omega": "11"}))
+    capsys.readouterr()
+    assert run(["wh", str(path), "--weights", str(wfile)]) == 2
+    _, err = _capture(capsys)
+    assert err.startswith(f"error: {wfile}: ") and "omega" in err
+    wfile.write_text(json.dumps({"m": 2, "family": [[1], [2]], "omega": ["1", "1"]}))
+    assert run(["wh", str(path), "--weights", str(wfile)]) == 0
+    assert "verdict = true" in _capture(capsys)[0]
+
+
 def test_wh_canonical_rejects_non_selfdual(points5, capsys):
     assert run(["wh", points5, "--canonical"]) == 2
     _, err = _capture(capsys)

@@ -116,7 +116,7 @@ def test_maximal_antichain_matches_pairwise_filter():
         m = rng.randint(1, 12)
         masks = [rng.getrandbits(m) for _ in range(rng.randint(1, 12))]
         masks += rng.choices(masks, k=rng.randint(0, 3)) + [0] * rng.randint(0, 2)
-        uniq = sorted(set(masks))
+        uniq = sorted(set(masks), key=elements)
         naive = [a for a in uniq if not any(a != b and a & ~b == 0 for b in uniq)]
         assert _maximal_antichain(masks) == naive
     assert _maximal_antichain([0, 0]) == [0]

@@ -367,22 +367,51 @@ def test_rs_verdicts_read_the_packing_memo(monkeypatch):
     calls.clear()
     assert is_rs_unavoidable(K, 2, 1) == (True, None)
     assert calls == []
-    # The least 3-packing of 4-sets needs 12 vertices: one search in room 11.
+    # Three 4-sets need 12 vertices, more than room 11: no search.
     L = skeleton(2, 12)
     max_disjoint_min_nonfaces(L)
     calls.clear()
     assert is_rs_unavoidable(L, 4, 2) == (True, None)
-    assert calls == [(3, 11)]
-    # The memo's 2-packing fits in room 4; one search shows none is smaller.
+    assert calls == []
+    # The memo's 2-packing of 2-sets fits in room 4 and no 2-packing is
+    # smaller than 4: no search.
     P = points(5)
     max_disjoint_min_nonfaces(P)
     calls.clear()
     assert not is_rs_unavoidable(P, 3, 2)[0]
-    assert calls == [(2, 3)]
+    assert calls == []
     # A negative room (s > m + 1) admits no packing: no search, even on a fresh complex.
     calls.clear()
     assert is_rs_unavoidable(points(3), 6, 5) == (True, None)
     assert calls == []
+
+
+def test_rs_never_searches_more_than_the_room_scan(monkeypatch):
+    # With the memo full, an (r, s) check runs no more searches than the scan
+    # that tries rooms 0, 1, ... up to m-s+1 until a k-packing fits.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return _least_packing(*args)
+
+    def room_scan_searches(K, k, room):
+        for cap in range(room + 1):
+            if _least_packing(K.nonface_index, k, cap) is not None:
+                return cap + 1
+        return max(room + 1, 0)
+
+    monkeypatch.setattr(unavoidable.partitions, "_least_packing", counted)
+    rng = random.Random(7)
+    for _ in range(500):
+        m = rng.randint(1, 11)
+        K = random_complex(rng, m, max_facets=8)
+        max_disjoint_min_nonfaces(K)
+        for r in range(2, m + 4):
+            for s in range(1, r):
+                calls.clear()
+                is_rs_unavoidable(K, r, s)
+                assert len(calls) <= room_scan_searches(K, r - s + 1, m - s + 1), (K, r, s)
 
 
 # --- minimality -------------------------------------------------------------------

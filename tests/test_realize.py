@@ -36,7 +36,7 @@ from unavoidable import (
     weights_to_json,
     wh_realization_check,
 )
-from unavoidable.bitsets import full_mask
+from unavoidable.bitsets import elements, full_mask
 
 from oracles import brute_faces, oracle_wh_measure, oracle_wh_realization_check, random_complex
 
@@ -627,6 +627,27 @@ def test_json_weights_require_vertex_lists():
     F = weights_from_json({"m": 4, "family": [[1, 3], [2, 4]], "omega": ["1", "1"]})
     assert F.members == (0b0101, 0b1010)
     assert WeightedHypergraph(4, [5, 10], [1, 1]).members == F.members  # the API takes masks
+
+
+def test_json_weights_require_weight_lists():
+    # A string would be read as one weight per character: "11" as 1 and 1.
+    with pytest.raises(ValueError, match="omega"):
+        weights_from_json({"m": 2, "family": [[1], [2]], "omega": "11"})
+    with pytest.raises(ValueError, match="weights"):
+        measure_from_json({"weights": "11"})
+    assert weights_from_json({"m": 2, "family": [[1], [2]], "omega": ["1", "1"]}).omega == (1, 1)
+    assert measure_from_json({"weights": ["1", "1"]}).weights == (1, 1)
+
+
+def test_weighted_hypergraph_orders_members_and_keeps_their_weights():
+    rng = random.Random(81)
+    for _ in range(50):
+        m = rng.randint(1, 10)
+        masks = rng.sample(range(1, 1 << m), rng.randint(1, min(20, (1 << m) - 1)))
+        weights = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in masks]
+        F = WeightedHypergraph(m, masks, weights)
+        assert F.members == tuple(sorted(masks, key=elements))
+        assert dict(zip(F.members, F.omega)) == dict(zip(masks, weights))
 
 
 def test_measure_json_round_trip():
