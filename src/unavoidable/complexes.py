@@ -2,9 +2,9 @@
 
 A complex is stored by its facets (inclusion-maximal faces) together with the
 cached antichain of minimal non-faces computed at construction time, as the
-minimal transversals of the facet complements (threshold complexes of
-additive measures enumerate both antichains directly, in one depth-first
-pass).  The two antichains support both membership routes:
+minimal transversals of the facet complements (sub-level complexes of
+measures are built from their antichains too, without a face walk; see
+:func:`sublevel_complex`).  The two antichains support both membership routes:
 
     A is a face  <=>  A is contained in some facet
                  <=>  A contains no minimal non-face
@@ -20,14 +20,17 @@ Conventions:
   legal and count toward m everywhere.
 * Stored antichains are sorted by :func:`~unavoidable.bitsets.canonical`,
   making equality structural and all output deterministic.
-* Measure arithmetic is exact: weights and thresholds are
+* The three measures, :class:`Measure`, :class:`GeometricMeasure` and
+  :class:`WeightedHypergraph`, live here with :func:`sublevel_complex`.
+  Their arithmetic is exact: weights and thresholds are
   :class:`fractions.Fraction`; float input is rejected.
 
 All values are immutable after construction and every operation is a pure
 function, so values may be shared freely across threads.  A complex memoizes
 one derived value, the bitset index of its minimal non-faces that the packing
 searches share (with their memo of least packings); each is a deterministic
-function of the fields, so a race can only compute one of them twice.
+function of the fields, so a race can only compute one of them twice.  The
+same holds for the append-only memo of a WeightedHypergraph's values.
 """
 
 from __future__ import annotations
@@ -430,6 +433,80 @@ class GeometricMeasure:
 
 
 SWEEP_MAX_GROUND_SET = 22
+WH_MAX_FAMILY = 4096
+
+
+class WeightedHypergraph:
+    """Distinct nonempty subsets of [m] with non-negative rational weights.
+
+    ``value(A)`` is the induced superadditive measure: the largest total
+    weight of pairwise disjoint members inside A, or 0 when no member fits.
+    It branches on the least vertex v of A: either v is left uncovered, or
+    it is covered by a member inside A whose least vertex is v.  So
+
+        nu(A) = max(nu(A - v), max of omega(M) + nu(A - M) over such M),
+
+    with the members bucketed by least vertex and the zero-weight ones
+    dropped (they never beat nu(A - v)).  Evaluation memoizes over subsets;
+    the hard caps m <= 22 and at most 4096 members keep that tractable.
+    """
+
+    __slots__ = ("m", "members", "omega", "_by_low", "_memo")
+
+    def __init__(self, m: int, members: Sequence[SubsetLike], omega: Sequence[RationalLike]):
+        check_ground_set(m)
+        if m > SWEEP_MAX_GROUND_SET:
+            raise BudgetExceededError(f"weighted hypergraphs support m <= {SWEEP_MAX_GROUND_SET}")
+        masks = [as_mask(m, x) for x in members]
+        weights = [as_fraction(w) for w in omega]
+        if len(masks) != len(weights):
+            raise ValueError("family and weight list lengths differ")
+        if len(masks) > WH_MAX_FAMILY:
+            raise BudgetExceededError(f"at most {WH_MAX_FAMILY} family members supported")
+        if any(mask == 0 for mask in masks):
+            raise ValueError("family members must be nonempty")
+        if len(set(masks)) != len(masks):
+            raise ValueError("duplicate family members are forbidden")
+        if any(w < 0 for w in weights):
+            raise ValueError("weights must be non-negative")
+        paired = dict(zip(masks, weights))  # the masks are distinct
+        by_low: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+        for mask, w in zip(masks, weights):
+            if w:
+                by_low[(mask & -mask).bit_length() - 1].append((mask, w))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "members", canonical(masks))
+        object.__setattr__(self, "omega", tuple(paired[mask] for mask in self.members))
+        object.__setattr__(self, "_by_low", tuple(tuple(bucket) for bucket in by_low))
+        object.__setattr__(self, "_memo", {0: Fraction(0)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightedHypergraph is immutable")
+
+    def value(self, subset: SubsetLike) -> Fraction:
+        return self._nu(as_mask(self.m, subset))
+
+    def _nu(self, mask: int) -> Fraction:
+        memo = self._memo
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        low = mask & -mask
+        best = self._nu(mask ^ low)
+        for member, weight in self._by_low[low.bit_length() - 1]:
+            if member & ~mask == 0:
+                cand = weight + self._nu(mask ^ member)
+                if cand > best:
+                    best = cand
+        memo[mask] = best
+        return best
+
+    @property
+    def total(self) -> Fraction:
+        return self.value(full_mask(self.m))
+
+    def __repr__(self) -> str:
+        return f"WeightedHypergraph(m={self.m}, members={len(self.members)})"
 
 
 def _threshold_antichains(mu: Measure, threshold: Fraction) -> tuple[list[int], list[int]]:
@@ -468,11 +545,10 @@ def _threshold_antichains(mu: Measure, threshold: Fraction) -> tuple[list[int], 
 
 
 def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
-    """The sub-level complex {A : nu(A) <= beta} of a monotone measure.
+    """The sub-level complex {A : nu(A) <= beta} of one of the three measures.
 
-    ``nu`` is anything with a ground-set size ``m`` and a monotone ``value``
-    on masks.  Comparisons are exact, and every construction is refused for
-    m > SWEEP_MAX_GROUND_SET.
+    Comparisons are exact, and every construction is refused for
+    m > SWEEP_MAX_GROUND_SET; any other type of ``nu`` raises TypeError.
 
     * A :class:`Measure` gives a threshold complex.  Its weights and beta are
       scaled to integers over one common denominator, and both antichains
@@ -483,10 +559,11 @@ def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
       dualization runs.
     * A :class:`GeometricMeasure` gives the union of its components'
       threshold complexes, built from their facets.
-    * Any other measure, such as a ``WeightedHypergraph`` from
-      :mod:`unavoidable.realize`, is walked face by face, level by level from
-      the empty set: monotonicity makes the family downward closed, so a
-      face is a facet iff no one-vertex extension is a face.
+    * A :class:`WeightedHypergraph` gives the Alexander dual of the complex
+      generated by the complements of the unions of disjoint positive-weight
+      members above beta, grown depth first from the empty set while faces.
+      This reaches every minimal non-face N: N is the union of a disjoint
+      family of weight nu(N) > beta whose proper sub-unions are all faces.
     """
     threshold = as_fraction(beta)
     if threshold < 0:
@@ -498,25 +575,25 @@ def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
     if isinstance(nu, GeometricMeasure):
         return from_facets(nu.m, [facet for mu in nu.components
                                   for facet in _threshold_antichains(mu, threshold)[0]])
-    full = full_mask(nu.m)
-    facets: list[int] = []
-    nonfaces: set[int] = set()
-    level = {0}
-    while level:
-        nxt: set[int] = set()
-        for base in level:
-            grew = False
-            for low in iter_singletons(full & ~base):
-                cand = base | low
-                if cand in nxt or (cand not in nonfaces and nu.value(cand) <= threshold):
-                    nxt.add(cand)
-                    grew = True
-                else:
-                    nonfaces.add(cand)
-            if not grew:
-                facets.append(base)
-        level = nxt
-    return from_facets(nu.m, facets)
+    if not isinstance(nu, WeightedHypergraph):
+        raise TypeError(f"no sub-level complex for {type(nu).__name__}")
+    # A family weighs at most nu of its union: nu runs only when that is not enough.
+    members = [(mask, w) for mask, w in zip(nu.members, nu.omega) if w]
+    full, seen, above = full_mask(nu.m), {0}, []
+
+    def grow(union: int, weight: Fraction) -> None:
+        for mask, w in members:
+            cand = union | mask
+            if mask & union or cand in seen:
+                continue
+            seen.add(cand)
+            if (total := weight + w) > threshold or nu.value(cand) > threshold:
+                above.append(full ^ cand)
+            else:
+                grow(cand, total)
+
+    grow(0, Fraction(0))
+    return alexander_dual(from_facets(nu.m, above)) if above else _complex(nu.m, [full], [])
 
 
 # --- .scx text format ------------------------------------------------------

@@ -124,10 +124,12 @@ def _least_packing(index: AntichainIndex, k: int, room: int,
 
 def _full_packing(K: SimplicialComplex, k: int) -> Optional[tuple[int, ...]]:
     """``_least_packing(K.nonface_index, k, K.m)`` as a tuple, memoized per k.
-    No search runs past a k without a packing: a k-packing holds smaller ones."""
+    No search runs past a k without a packing: a k-packing holds smaller ones.
+    The memo's own entries are scanned (a snapshot, as other threads may add
+    to it), so a huge k costs no loop over the k below it."""
     memo = K.nonface_index._packings
     if k not in memo:
-        none_below = any(memo.get(j, ()) is None for j in range(k))
+        none_below = any(j < k and p is None for j, p in list(memo.items()))
         packing = None if none_below else _least_packing(K.nonface_index, k, K.m)
         memo[k] = None if packing is None else tuple(packing)
     return memo[k]

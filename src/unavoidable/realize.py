@@ -1,6 +1,7 @@
 """Realizability of unavoidable complexes by exact measures.
 
-Three measure families feed sub-level constructions:
+Three measure families, all defined in :mod:`unavoidable.complexes`, feed
+sub-level constructions:
 
 * additive :class:`~unavoidable.complexes.Measure` (weights on vertices),
 * :class:`WeightedHypergraph` measures: the best total weight of a pairwise
@@ -31,13 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bitsets import SubsetLike, as_mask, canonical, check_ground_set, elements, full_mask
+from .bitsets import elements
 from .complexes import (
-    GeometricMeasure,
     Measure,
     RationalLike,
-    SWEEP_MAX_GROUND_SET,
     SimplicialComplex,
+    WH_MAX_FAMILY,
+    WeightedHypergraph,
     as_fraction,
     is_self_dual,
     sublevel_complex,
@@ -46,85 +47,11 @@ from .errors import BudgetExceededError
 from .lp import maximize
 from .partitions import is_r_unavoidable
 
-WH_MAX_FAMILY = 4096
 DEFAULT_LP_CONSTRAINT_CAP = 100_000
 _DUAL_NOTE_LIMIT = 24  # weights listed in a dual note; the rest are only counted
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class WeightedHypergraph:
-    """Distinct nonempty subsets of [m] with non-negative rational weights.
-
-    ``value(A)`` is the induced superadditive measure: the largest total
-    weight of pairwise disjoint members inside A, or 0 when no member fits.
-    It branches on the least vertex v of A: either v is left uncovered, or
-    it is covered by a member inside A whose least vertex is v.  So
-
-        nu(A) = max(nu(A - v), max of omega(M) + nu(A - M) over such M),
-
-    with the members bucketed by least vertex and the zero-weight ones
-    dropped (they never beat nu(A - v)).  Evaluation memoizes over subsets;
-    the hard caps m <= 22 and at most 4096 members keep that tractable.
-    """
-
-    __slots__ = ("m", "members", "omega", "_by_low", "_memo")
-
-    def __init__(self, m: int, members: Sequence[SubsetLike], omega: Sequence[RationalLike]):
-        check_ground_set(m)
-        if m > SWEEP_MAX_GROUND_SET:
-            raise BudgetExceededError(f"weighted hypergraphs support m <= {SWEEP_MAX_GROUND_SET}")
-        masks = [as_mask(m, x) for x in members]
-        weights = [as_fraction(w) for w in omega]
-        if len(masks) != len(weights):
-            raise ValueError("family and weight list lengths differ")
-        if len(masks) > WH_MAX_FAMILY:
-            raise BudgetExceededError(f"at most {WH_MAX_FAMILY} family members supported")
-        if any(mask == 0 for mask in masks):
-            raise ValueError("family members must be nonempty")
-        if len(set(masks)) != len(masks):
-            raise ValueError("duplicate family members are forbidden")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        paired = dict(zip(masks, weights))  # the masks are distinct
-        by_low: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-        for mask, w in zip(masks, weights):
-            if w:
-                by_low[(mask & -mask).bit_length() - 1].append((mask, w))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "members", canonical(masks))
-        object.__setattr__(self, "omega", tuple(paired[mask] for mask in self.members))
-        object.__setattr__(self, "_by_low", tuple(tuple(bucket) for bucket in by_low))
-        object.__setattr__(self, "_memo", {0: ZERO})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedHypergraph is immutable")
-
-    def value(self, subset: SubsetLike) -> Fraction:
-        return self._nu(as_mask(self.m, subset))
-
-    def _nu(self, mask: int) -> Fraction:
-        memo = self._memo
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        low = mask & -mask
-        best = self._nu(mask ^ low)
-        for member, weight in self._by_low[low.bit_length() - 1]:
-            if member & ~mask == 0:
-                cand = weight + self._nu(mask ^ member)
-                if cand > best:
-                    best = cand
-        memo[mask] = best
-        return best
-
-    @property
-    def total(self) -> Fraction:
-        return self.value(full_mask(self.m))
-
-    def __repr__(self) -> str:
-        return f"WeightedHypergraph(m={self.m}, members={len(self.members)})"
 
 
 def superadditive_sublevel(nu, r: int) -> SimplicialComplex:

@@ -133,6 +133,14 @@ def test_realize_command(points5, capsys):
     assert "margin = 1/15" in out
 
 
+def test_realize_with_a_huge_r(points5, capsys):
+    # points(5) is r-unavoidable for every r >= 3, but no probability puts
+    # all five singleton facets at or below 1/r.
+    assert run(["realize", points5, "--r", "1000000000000"]) == 0
+    out, _ = _capture(capsys)
+    assert out.splitlines()[0] == "feasible = false"
+
+
 def test_wh_canonical_and_check(skel15, tmp_path, capsys):
     assert run(["--json", "wh", skel15, "--canonical"]) == 0
     out, _ = _capture(capsys)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,13 @@ def test_threshold_sublevel_matches_brute_force():
 def test_sublevel_negative_threshold_rejected():
     with pytest.raises(ValueError):
         sublevel_complex(Measure.uniform(3), Fraction(-1, 3))
+
+
+def test_sublevel_complex_refuses_other_measure_types():
+    # Only the three measure classes have sub-level complexes, not any
+    # object with an ``m`` and a ``value``.
+    with pytest.raises(TypeError):
+        sublevel_complex(SimpleNamespace(m=3, value=lambda subset: Fraction(0)), 1)
 
 
 def test_measure_validation():

@@ -483,6 +483,12 @@ def test_verdicts_after_the_packing_number_run_no_search(monkeypatch):
     assert calls == [1, 2, 3, 4, 5]
 
 
+def test_a_huge_r_on_a_fresh_complex_is_decided_at_once():
+    # The memo scan reads the memo's own entries, not every k below r.
+    assert is_r_unavoidable(points(5), 10 ** 12) == (True, None)
+    assert is_minimally_r_unavoidable(points(5), 10 ** 12) is False
+
+
 def test_packing_memo_is_not_part_of_the_value():
     K, L = skeleton(2, 7), skeleton(2, 7)
     max_disjoint_min_nonfaces(K)

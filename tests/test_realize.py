@@ -207,6 +207,31 @@ def test_sublevel_complex_of_nonadditive_measures_matches_brute_force():
             beta = Fraction(rng.randint(0, 12), rng.randint(1, 4))
         want = {a for a in range(1 << m) if nu.value(a) <= beta}
         assert brute_faces(sublevel_complex(nu, beta)) == want
+    # Weighted hypergraphs with zero-weight members, at thresholds 0, at a
+    # subset's value and at alpha / 1..4.
+    for _ in range(150):
+        m = rng.randint(1, 10)
+        members = sorted({rng.getrandbits(m) or 1 << rng.randrange(m)
+                          for _ in range(rng.randint(0, 16))})
+        omega = [0 if rng.random() < 0.3 else Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                 for _ in members]
+        nu = WeightedHypergraph(m, members, omega)
+        beta = rng.choice([Fraction(0), nu.value(rng.getrandbits(m)),
+                           nu.total / rng.randint(1, 4)])
+        want = {a for a in range(1 << m) if nu.value(a) <= beta}
+        assert brute_faces(sublevel_complex(nu, beta)) == want
+
+
+def test_wh_sublevel_complex_at_m20():
+    # 55 members on 20 vertices; both sides of the check are down-sets, so
+    # testing K's facets and minimal non-faces decides equality.
+    rng = random.Random(20)
+    members = sorted({rng.getrandbits(20) or 1 for _ in range(55)})
+    F = WeightedHypergraph(20, members, [Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                                         for _ in members])
+    K = superadditive_sublevel(F, 2)
+    assert K.min_nonfaces
+    assert wh_realization_check(K, 2, F)
 
 
 def test_superadditive_sublevel_additive_case_recovers_linear():
@@ -215,10 +240,10 @@ def test_superadditive_sublevel_additive_case_recovers_linear():
 
 
 def test_superadditive_sublevel_selfdual_indicator():
-    K = random_selfdual(5, seed=4)
-    assert is_self_dual(K)
-    F = selfdual_wh_realization(K)
-    assert superadditive_sublevel(F, 2) == K
+    for K in (random_selfdual(5, seed=4), random_selfdual(12, seed=0)):
+        assert is_self_dual(K)
+        F = selfdual_wh_realization(K)
+        assert superadditive_sublevel(F, 2) == K
 
 
 def test_superadditive_sublevel_always_unavoidable():
