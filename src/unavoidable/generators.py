@@ -25,12 +25,25 @@ from .errors import BudgetExceededError
 
 DEFAULT_COLORING_BUDGET = 1 << 26
 DEFAULT_DELETED_JOIN_BUDGET = 20 << 20  # m*2^m transform steps: m <= 20
+# 2^m packed polynomials of (r+1)*m*(m+1) bits each: m = 20, r = 3 needs ~1.8e9.
+DELETED_JOIN_MAX_BITS = 1 << 33
+# C(m, k+1) facets plus C(m, k+2) minimal non-faces: skeleton(5, 13) has 3432.
+SKELETON_MAX_ANTICHAINS = 1 << 17
 
 
 def skeleton(k: int, m: int) -> SimplicialComplex:
-    """The k-skeleton of the (m-1)-simplex: all subsets of [m] of size <= k+1."""
+    """The k-skeleton of the (m-1)-simplex: all subsets of [m] of size <= k+1.
+
+    Raises ``BudgetExceededError`` before building a facet when its facets and
+    minimal non-faces number more than ``SKELETON_MAX_ANTICHAINS``.
+    """
     if not 0 <= k <= m - 1:
         raise ValueError(f"need 0 <= k <= m-1, got k={k}, m={m}")
+    members = comb(m, k + 1) + comb(m, k + 2)
+    if members > SKELETON_MAX_ANTICHAINS:
+        raise BudgetExceededError(
+            f"skeleton({k}, {m}) has {members} facets and minimal non-faces, "
+            f"over the limit {SKELETON_MAX_ANTICHAINS}")
     return from_facets(m, combinations(range(1, m + 1), k + 1))
 
 
@@ -225,8 +238,9 @@ def deleted_join_faces(
         f_k = sum over j of (-1)^(k-j) C(m-j, k-j) [x^k] P_j,  P_j = sum of Z_S^r over |S| = j.
 
     ``budget`` bounds the m*2^m steps of the zeta transform that builds every
-    Z_S.  A polynomial is one int, coefficient k at bit k*slot, cut above
-    degree m by powers modulo 2^(slot*(m+1)).  No coefficient carries with
+    Z_S, and ``DELETED_JOIN_MAX_BITS`` the bits of the 2^m packed Z_S.  A
+    polynomial is one int, coefficient k at bit k*slot, cut above degree m by
+    powers modulo 2^(slot*(m+1)).  No coefficient carries with
     slot = (r+1)*m: Z_S(1) <= 2^|S| bounds every coefficient of Z_S^r by
     2^(r*m), and every coefficient of P_j by C(m, j)*2^(r*m) < 2^((r+1)*m),
     so each int is its polynomial at x = 2^slot.
@@ -237,6 +251,10 @@ def deleted_join_faces(
     if m << m > budget:
         raise BudgetExceededError(f"{m}*2^{m} subset-transform steps exceed the budget {budget}")
     slot = (r + 1) * m
+    if slot * (m + 1) << m > DELETED_JOIN_MAX_BITS:
+        raise BudgetExceededError(
+            f"2^{m} packed polynomials of {slot * (m + 1)} bits exceed the limit "
+            f"of {DELETED_JOIN_MAX_BITS} bits")
     zeta = [face << slot * mask.bit_count() for mask, face in enumerate(K.face_table())]
     for bit in (1 << i for i in range(m)):
         for mask in range(len(zeta)):

@@ -11,6 +11,14 @@ elimination", 1968), and then ``d = p``.  Problem sizes in this package are
 small (tens of rows), which makes the dense tableau the simplest correct
 choice.
 
+Columns are laid out in one pass over the rows, after each row is
+normalized to a nonnegative right-hand side.  The n structural columns come
+first.  Then each row adds, in row order, its surplus column (coefficient -1,
+``>=`` rows only) followed by its starting basic column (coefficient +1): the
+slack of a ``<=`` row, or an artificial of a ``>=`` or ``==`` row.  That basic
+column also reads off the row's dual multiplier.  Bland's rule breaks ties by
+column index, so this order fixes every pivot.
+
 Scaling row i by ``s_i`` while its slack and artificial columns keep the
 coefficients +-1 scales those variables by ``s_i``; the phase-1 objective
 weighs artificial i by ``L / s_i`` (``L`` the lcm of the ``s_i``) so that it
@@ -60,8 +68,7 @@ def maximize(
     n = len(objective)
     c, c_scale = _integer_row(objective)
 
-    # Scale rows to integers and normalize them to rhs >= 0, then allocate
-    # slack / artificial columns.
+    # Scale rows to integers and normalize them to rhs >= 0.
     norm: list[tuple[list[int], str, int, bool, int]] = []
     for coeffs, sense, rhs in rows:
         if len(coeffs) != n:
@@ -78,53 +85,25 @@ def maximize(
             flipped = True
         norm.append((coeffs, sense, rhs, flipped, scale))
 
+    # The column layout of the module docstring; a row's surplus and starting
+    # basic column are both scaled by the row's s_i.
     n_rows = len(norm)
-    next_col = n
-    slack_col = [-1] * n_rows
-    art_col = [-1] * n_rows
-    dual_col = [-1] * n_rows
-    for i, (_, sense, _, _, _) in enumerate(norm):
-        if sense == LE:
-            slack_col[i] = next_col
-            dual_col[i] = next_col
-            next_col += 1
-        elif sense == GE:
-            slack_col[i] = next_col  # surplus, coefficient -1
-            next_col += 1
-            art_col[i] = next_col
-            dual_col[i] = next_col
-            next_col += 1
-        else:
-            art_col[i] = next_col
-            dual_col[i] = next_col
-            next_col += 1
-    cols = next_col
+    cols = n + n_rows + sum(sense == GE for _, sense, _, _, _ in norm)
     artificial = [False] * cols
-    for a in art_col:
-        if a >= 0:
-            artificial[a] = True
-    # The factor by which each column's variable is scaled.
-    col_scale = [1] * cols
-    for i, (_, _, _, _, scale) in enumerate(norm):
-        for j in (slack_col[i], art_col[i]):
-            if j >= 0:
-                col_scale[j] = scale
-
+    col_scale = [1] * cols  # the factor by which each column's variable is scaled
     tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (coeffs, sense, rhs, _, _) in enumerate(norm):
+    j = n
+    for coeffs, sense, rhs, _, scale in norm:
         row = coeffs + [0] * (cols - n) + [rhs]
-        if sense == LE:
-            row[slack_col[i]] = 1
-            basis.append(slack_col[i])
-        elif sense == GE:
-            row[slack_col[i]] = -1
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
+        if sense == GE:
+            row[j], col_scale[j] = -1, scale
+            j += 1
+        row[j], col_scale[j], artificial[j] = 1, scale, sense != LE
         tableau.append(row)
+        basis.append(j)
+        j += 1
+    dual_col = basis[:]
 
     z2 = [-v for v in c] + [0] * (cols - n) + [0]
     d = 1  # common denominator of every row, objective rows included
@@ -186,19 +165,14 @@ def maximize(
 
     # Phase 1: drive the artificial variables to zero.  Artificial i stands
     # for s_i times the unscaled one, so it weighs L / s_i.
-    if any(a >= 0 for a in art_col):
-        z1_scale = math.lcm(*(col_scale[a] for a in art_col if a >= 0))
+    starts = [(b, row) for b, row in zip(basis, tableau) if artificial[b]]
+    if starts:
+        z1_scale = math.lcm(*(col_scale[b] for b, _ in starts))
         z1 = [0] * (cols + 1)
-        for a in art_col:
-            if a >= 0:
-                z1[a] = z1_scale // col_scale[a]
-        for i, b in enumerate(basis):
-            if artificial[b]:
-                w = z1[b]
-                row = tableau[i]
-                for j in range(cols + 1):
-                    if row[j]:
-                        z1[j] -= w * row[j]
+        for b, row in starts:
+            w = z1_scale // col_scale[b]
+            z1 = [z - w * v for z, v in zip(z1, row)]
+            z1[b] = 0  # basic, so its reduced cost is zero
         # Phase 1 updates both objective rows so phase 2 can start directly.
         status, _ = run_simplex([z1, z2], True)
         if status == "unbounded":  # phase-1 objective is bounded by construction
@@ -207,7 +181,7 @@ def maximize(
             return LpResult("infeasible", None, None, dual_values(z1, z1_scale), None)
         # Drive leftover basic artificials out; drop redundant rows.
         for i in range(n_rows - 1, -1, -1):
-            if i >= len(basis) or not artificial[basis[i]]:
+            if not artificial[basis[i]]:
                 continue
             row = tableau[i]
             enter = next((j for j in range(cols) if not artificial[j] and row[j] != 0), -1)

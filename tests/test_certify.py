@@ -30,6 +30,17 @@ def test_prime_power_examples():
     assert prime_power(12) is None
     with pytest.raises(ValueError):
         prime_power(1)
+    with pytest.raises(ValueError, match="at most"):
+        prime_power(2 ** 32 + 1)
+
+
+def test_certifiers_reject_bad_arguments():
+    with pytest.raises(ValueError, match="factor"):
+        certify_join_nonembeddable([], 2, 1)
+    with pytest.raises(ValueError, match="dimension"):
+        certify_join_nonembeddable([points(5)], 2, -1)
+    with pytest.raises(ValueError, match="dimension"):
+        certify_single_nonembeddable(points(5), 2, -1)
 
 
 # --- index bounds ------------------------------------------------------------------

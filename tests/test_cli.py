@@ -257,6 +257,8 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     good.write_text("m 3\n1\n2\n3\n")
     assert run(["pi", str(good), "--check", "3:2:9"]) == 1
     assert "use R or R:S" in capsys.readouterr().err
+    assert run(["certify", "--single", "--r", "3", "--d", "1", str(good), str(good)]) == 1
+    assert "exactly one complex" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_a_usage_error(points5, tmp_path, capsys):
@@ -293,6 +295,18 @@ def test_gen_selfdual_sweep_cap_exit_code(capsys):
     assert run(["gen", "selfdual", "--m", "23", "--seed", "0"]) == 5
     _, err = _capture(capsys)
     assert "m <= 22" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["deljoin", "{points5}", "--r", "1000000000"], "bits"),
+    (["gen", "skeleton", "--k", "5", "--m", "40"], "skeleton(5, 40)"),
+])
+def test_size_caps_exit_code(points5, capsys, argv, message):
+    # Refused before anything is built: a one-line error and exit code 5.
+    assert run([arg.format(points5=points5) for arg in argv]) == 5
+    out, err = _capture(capsys)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_global_flags_accepted_after_subcommand(points5, capsys):

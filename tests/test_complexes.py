@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unavoidable import (
+    GeometricMeasure,
     Measure,
     ScxFormatError,
     VOID,
@@ -372,6 +373,12 @@ def test_measure_validation():
         Measure((Fraction(-1), Fraction(2)))
     with pytest.raises(ValueError):
         Measure((Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError, match="at least one"):
+        Measure(())
+    with pytest.raises(ValueError, match="at least one"):
+        GeometricMeasure(())
+    with pytest.raises(ValueError, match="ground set"):
+        GeometricMeasure((Measure.uniform(3), Measure.uniform(4)))
     mu = Measure.counting(6, [1, 2, 3])
     assert mu.value({1, 2}) == Fraction(2, 3)
     assert mu.value({4, 5, 6}) == 0

@@ -42,6 +42,10 @@ def test_skeleton_examples():
     assert partition_number(full) == 1
     with pytest.raises(ValueError):
         skeleton(5, 5)
+    # C(40, 6) + C(40, 7) facets and minimal non-faces: refused before any is built.
+    with pytest.raises(BudgetExceededError, match="skeleton"):
+        skeleton(5, 40)
+    assert len(skeleton(5, 13).facets) == 1716
 
 
 def test_points_examples():
@@ -318,3 +322,6 @@ def test_deleted_join_distributes_over_join():
 def test_deleted_join_budget():
     with pytest.raises(BudgetExceededError):
         deleted_join_faces(points(10), 3, budget=1000)
+    # 2^5 packed ints of (r+1)*5*6 bits each: refused before any is allocated.
+    with pytest.raises(BudgetExceededError, match="bits"):
+        deleted_join_faces(points(5), 10 ** 9)

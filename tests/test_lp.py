@@ -1,5 +1,6 @@
 """Exact simplex solver: textbook cases, degeneracy, duals."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -157,3 +158,16 @@ def test_certificates_on_random_rational_instances():
             assert all(v >= 0 for v in res.ray) and _dot(c, res.ray) > 0
             assert all(_satisfies(_dot(a, res.ray), sense, 0) for a, sense, _ in rows)
     assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_results_pinned_on_random_rational_instances():
+    # Bland's rule fixes every pivot, so the full results (which optimal
+    # vertex, which duals, which ray) are pinned, not just their validity.  A
+    # change to the column layout or the pivot choice changes this digest.
+    rng = random.Random(31415)
+    digest = hashlib.sha256()
+    for _ in range(1200):
+        res = maximize(*_random_rational_lp(rng))
+        digest.update(repr((res.status, res.objective, res.x, res.duals, res.ray)).encode())
+    assert digest.hexdigest() == (
+        "d8d33e837897bb6a98be51829c00e12b239def77a5ee7a884204aec6cf79cc5a")

@@ -37,6 +37,7 @@ from unavoidable import (
     wh_realization_check,
 )
 from unavoidable.bitsets import elements, full_mask
+from unavoidable.errors import BudgetExceededError
 
 from oracles import brute_faces, oracle_wh_measure, oracle_wh_realization_check, random_complex
 
@@ -113,6 +114,10 @@ def test_wh_validation():
         WeightedHypergraph(3, [[1]], [-1])  # negative weight
     with pytest.raises(ValueError):
         WeightedHypergraph(3, [[1]], [1, 2])  # length mismatch
+    with pytest.raises(BudgetExceededError, match="m <= 22"):
+        WeightedHypergraph(23, [[1]], [1])
+    with pytest.raises(BudgetExceededError, match="4096"):
+        WeightedHypergraph(13, range(1, 4098), [1] * 4097)
     empty = WeightedHypergraph(3, [], [])  # empty family: measure is 0
     assert empty.value([1, 2, 3]) == 0
 
@@ -528,8 +533,6 @@ def test_canonical_realization_check_survives_optimization(monkeypatch):
 
 
 def test_lp_constraint_cap():
-    from unavoidable.errors import BudgetExceededError
-
     with pytest.raises(BudgetExceededError):
         is_linearly_realizable(skeleton(1, 5), 2, max_constraints=3)
 
@@ -552,6 +555,8 @@ def test_wh_realization_additive_from_lp_witness():
 def test_wh_realization_rejects_wrong_family():
     F = WeightedHypergraph(5, [[1, 2, 3, 4, 5]], [1])
     assert not wh_realization_check(points(5), 3, F)
+    with pytest.raises(ValueError, match="ground sets differ"):
+        wh_realization_check(points(4), 3, F)
 
 
 def test_wh_realization_check_matches_exhaustive_oracle():
@@ -596,6 +601,12 @@ def test_wh_realization_check_on_random_selfdual_18():
 def test_selfdual_realization_rejects_non_selfdual():
     with pytest.raises(ValueError):
         selfdual_wh_realization(points(5))
+
+
+def test_selfdual_realization_caps_its_family():
+    # The canonical family is every nonempty subset: 2^13 - 1 > 4096 members.
+    with pytest.raises(BudgetExceededError, match="m <= 12"):
+        selfdual_wh_realization(random_selfdual(13, 0))
 
 
 def test_prune_zero_weights_preserves_measure_exhaustively():
@@ -660,6 +671,8 @@ def test_json_weights_require_weight_lists():
         weights_from_json({"m": 2, "family": [[1], [2]], "omega": "11"})
     with pytest.raises(ValueError, match="weights"):
         measure_from_json({"weights": "11"})
+    with pytest.raises(ValueError, match="missing key"):
+        measure_from_json({})
     assert weights_from_json({"m": 2, "family": [[1], [2]], "omega": ["1", "1"]}).omega == (1, 1)
     assert measure_from_json({"weights": ["1", "1"]}).weights == (1, 1)
 
