@@ -31,11 +31,9 @@ from .complexes import (
 from .certify import certify_join_nonembeddable, certify_single_nonembeddable, exit_code
 from .errors import BudgetExceededError
 from .generators import (
-    DEFAULT_COLORING_BUDGET,
     DEFAULT_DELETED_JOIN_BUDGET,
     contains_clique,
     deleted_join_faces,
-    is_admissible,
     points,
     ramsey_complex,
     random_selfdual,
@@ -171,8 +169,10 @@ def build_parser() -> _Parser:
     g.add_argument("--clique", type=int, required=True)
     g.add_argument("--r", type=int, default=2)
     g.add_argument("--check-admissible", action="store_true")
-    g.add_argument("--no-empty-classes", dest="allow_empty_classes", action="store_false")
-    g.add_argument("--budget", type=int, default=DEFAULT_COLORING_BUDGET)
+    g.add_argument("--no-empty-classes", action="store_true",
+                   help="no effect: an empty coloring class is the empty face")
+    g.add_argument("--budget", type=int,
+                   help="no effect: admissibility is r-unavoidability, decided by pi's search")
     g.add_argument("-o", "--output", default=None)
     g = gsub.add_parser("selfdual", parents=[common])
     g.add_argument("--m", type=int, required=True)
@@ -343,12 +343,10 @@ def _cmd_gen(args, report):
     elif args.generator == "selfdual":
         K = random_selfdual(args.m, args.seed)
     else:
-        K, table = ramsey_complex(args.n, contains_clique(args.clique), budget=args.budget)
+        K, table = ramsey_complex(args.n, contains_clique(args.clique))
         results["edges"] = [list(e) for e in table]
         if args.check_admissible:
-            results["admissible"] = is_admissible(
-                args.n, contains_clique(args.clique), args.r,
-                allow_empty_classes=args.allow_empty_classes, budget=args.budget)
+            results["admissible"] = is_r_unavoidable(K, args.r)[0]
     text = format_scx(K)
     results["scx"] = text
     plain: list[str] = []

@@ -2,7 +2,9 @@
 
 * skeletons and point sets,
 * complexes on the edge set of a complete graph cut out by a monotone graph
-  property (faces are the edge sets whose complement has the property),
+  property (faces are the edge sets whose complement has the property);
+  every r-coloring of the edges is admissible exactly when the complex is
+  r-unavoidable, and ``is_admissible`` scans the colorings as a reference,
 * random self-dual complexes from weighted-majority thresholds,
 * face counts of r-fold deleted joins.
 
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Optional
+from typing import Callable
 
-from .bitsets import full_mask, iter_singletons
+from .bitsets import full_mask
 from .complexes import Measure, SimplicialComplex, from_facets, sublevel_complex
 from .errors import BudgetExceededError
 
@@ -56,14 +58,15 @@ def points(m: int) -> SimplicialComplex:
 class GraphProperty:
     """A monotone property of graphs given by their edge subsets of K_n.
 
-    ``make_test(n)`` returns a predicate on edge masks.  When the minimal
-    edge sets with the property are known in closed form, ``make_minimal_sets``
-    supplies them and complex construction avoids the exhaustive scan.
+    ``make_test(n)`` returns a predicate on edge masks, used by the
+    reference scan ``is_admissible``.  ``make_minimal_sets(n)`` returns the
+    minimal edge masks with the property in closed form; ``ramsey_complex``
+    builds its facets from them and never scans edge subsets.
     """
 
     name: str
     make_test: Callable[[int], Callable[[int], bool]]
-    make_minimal_sets: Optional[Callable[[int], tuple[int, ...]]] = None
+    make_minimal_sets: Callable[[int], tuple[int, ...]]
 
 
 def edge_table(n: int) -> tuple[tuple[int, int], ...]:
@@ -102,23 +105,7 @@ def contains_clique(k: int) -> GraphProperty:
     )
 
 
-def _minimal_property_sets(n: int, prop: GraphProperty, budget: int) -> tuple[int, ...]:
-    # Generic fallback: scan all edge subsets by ascending cardinality.
-    num_edges = n * (n - 1) // 2
-    if 1 << num_edges > budget:
-        raise BudgetExceededError(
-            f"scanning 2^{num_edges} edge subsets exceeds the budget {budget}")
-    test = prop.make_test(n)
-    minimal = []
-    for mask in range(1 << num_edges):
-        if test(mask) and not any(test(mask ^ bit) for bit in iter_singletons(mask)):
-            minimal.append(mask)
-    return tuple(minimal)
-
-
-def ramsey_complex(
-    n: int, prop: GraphProperty, *, budget: int = DEFAULT_COLORING_BUDGET
-) -> tuple[SimplicialComplex, tuple[tuple[int, int], ...]]:
+def ramsey_complex(n: int, prop: GraphProperty) -> tuple[SimplicialComplex, tuple[tuple[int, int], ...]]:
     """The complex on the edges of K_n whose faces are the edge sets S such
     that the complementary graph has the property.
 
@@ -131,10 +118,7 @@ def ramsey_complex(
     num_edges = n * (n - 1) // 2
     if num_edges > 63:
         raise ValueError("edge set exceeds the 63-vertex ground-set limit")
-    if prop.make_minimal_sets is not None:
-        minimal = prop.make_minimal_sets(n)
-    else:
-        minimal = _minimal_property_sets(n, prop, budget)
+    minimal = prop.make_minimal_sets(n)
     if not minimal:
         raise ValueError(f"property {prop.name} never holds on K_{n}; the complex would be void")
     full = full_mask(num_edges)

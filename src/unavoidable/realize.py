@@ -299,6 +299,8 @@ def weights_to_json(F: WeightedHypergraph) -> dict:
 
 
 def weights_from_json(obj: dict) -> WeightedHypergraph:
+    if not isinstance(obj, dict):
+        raise ValueError('weights must be a JSON object with keys "m", "family" and "omega"')
     try:
         m, family, omega = obj["m"], obj["family"], obj["omega"]
     except KeyError as exc:
@@ -318,6 +320,8 @@ def measure_to_json(mu: Measure) -> dict:
 
 
 def measure_from_json(obj: dict) -> Measure:
+    if not isinstance(obj, dict):
+        raise ValueError('a measure must be a JSON object with the key "weights"')
     try:
         weights = obj["weights"]
     except KeyError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 from unavoidable import SimplicialComplex, from_facets
 from unavoidable.bitsets import full_mask
@@ -203,6 +203,27 @@ def oracle_deleted_join_counts(K: SimplicialComplex, r: int) -> tuple[int, ...]:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def oracle_has_clique(n: int, k: int):
+    """Predicate on edge masks of K_n (edge (i, j), i < j, at its lexicographic
+    position) that holds when the graph has k pairwise adjacent vertices."""
+    position = {pair: idx for idx, pair in enumerate(
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i < j)}
+
+    def test(graph: int) -> bool:
+        return any(all(graph >> position[i, j] & 1 for i in verts for j in verts if i < j)
+                   for verts in combinations(range(1, n + 1), k))
+    return test
+
+
+def oracle_minimal_property_sets(n: int, test) -> list[int]:
+    """The minimal edge masks of K_n with a monotone property, ascending, by a
+    scan of all 2^|E| edge subsets."""
+    num_edges = n * (n - 1) // 2
+    return [mask for mask in range(1 << num_edges)
+            if test(mask) and not any(test(mask & ~(1 << e))
+                                      for e in range(num_edges) if mask >> e & 1)]
 
 
 def oracle_num_faces(K: SimplicialComplex) -> int:

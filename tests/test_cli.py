@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from unavoidable import parse_scx
+from unavoidable import contains_clique, is_admissible, parse_scx
 from unavoidable.cli import run
+from unavoidable.errors import BudgetExceededError
 
 
 def _capture(capsys):
@@ -176,6 +177,18 @@ def test_wh_weights_bare_int_members_are_input_errors(tmp_path, capsys):
     assert "verdict = false" in _capture(capsys)[0]
 
 
+def test_wh_weights_not_an_object_is_input_error(tmp_path, capsys):
+    path = tmp_path / "p2.scx"
+    assert run(["gen", "points", "--m", "2", "-o", str(path)]) == 0
+    wfile = tmp_path / "w.json"
+    wfile.write_text("[1, 2]")
+    capsys.readouterr()
+    assert run(["wh", str(path), "--weights", str(wfile)]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and err == (f'error: {wfile}: weights must be a JSON object with keys '
+                                 f'"m", "family" and "omega"\n')
+
+
 def test_wh_weights_string_omega_is_input_error(tmp_path, capsys):
     # "11" is not a weight list; read per character it would be the weights 1 and 1.
     path = tmp_path / "p2.scx"
@@ -205,6 +218,20 @@ def test_gen_ramsey_with_admissibility(tmp_path, capsys):
     out, _ = _capture(capsys)
     assert "admissible = false" in out
     assert path.read_text().startswith("m 10\n")
+
+
+def test_gen_ramsey_admissibility_past_the_coloring_scan(capsys):
+    # 3^21 colorings are past the reference scan's budget; the packing search
+    # decides 3-unavoidability of the 21-vertex complex at once.
+    with pytest.raises(BudgetExceededError):
+        is_admissible(7, contains_clique(3), 3)
+    assert run(["gen", "ramsey", "--n", "7", "--clique", "3", "--r", "3",
+                "--check-admissible"]) == 0
+    assert _capture(capsys)[0].splitlines()[0] == "admissible = true"
+    # --budget bounds nothing: 10 is far below the 2^10 colorings of K_5's edges.
+    assert run(["gen", "ramsey", "--n", "5", "--clique", "3", "--r", "2",
+                "--check-admissible", "--budget", "10"]) == 0
+    assert _capture(capsys)[0].splitlines()[0] == "admissible = false"
 
 
 def test_gen_ramsey_no_empty_classes(capsys):

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from unavoidable import (
-    GraphProperty,
     contains_clique,
     deleted_join_faces,
     edge_table,
@@ -28,7 +27,13 @@ from unavoidable import (
 from unavoidable.bitsets import elements, full_mask
 from unavoidable.errors import BudgetExceededError
 
-from oracles import brute_faces, oracle_deleted_join_counts, random_complex
+from oracles import (
+    brute_faces,
+    oracle_deleted_join_counts,
+    oracle_has_clique,
+    oracle_minimal_property_sets,
+    random_complex,
+)
 
 
 # --- skeletons ------------------------------------------------------------------
@@ -108,13 +113,14 @@ def test_ramsey_face_definition():
 
 
 def test_ramsey_generic_property_path_matches_builtin():
-    # Drop the closed-form minimal sets: the exhaustive scan must agree.
-    builtin = contains_clique(3)
-    generic = GraphProperty("clique3-scan", builtin.make_test, None)
+    # The closed-form minimal sets, and the reference test behind
+    # ``is_admissible``, agree with a scan of every edge subset.
     for n in (4, 5):
-        K1, _ = ramsey_complex(n, builtin)
-        K2, _ = ramsey_complex(n, generic)
-        assert K1 == K2
+        for k in (3, 4):
+            prop = contains_clique(k)
+            scanned = oracle_minimal_property_sets(n, oracle_has_clique(n, k))
+            assert sorted(prop.make_minimal_sets(n)) == scanned, (n, k)
+            assert oracle_minimal_property_sets(n, prop.make_test(n)) == scanned, (n, k)
 
 
 def test_ramsey_void_rejected():
@@ -140,13 +146,22 @@ def test_admissibility_budget():
         is_admissible(6, contains_clique(3), 2, budget=100)
 
 
-def test_admissibility_equivalence_with_unavoidability():
-    # partitions into r nonempty classes <=> the edge complex is r-unavoidable
-    for n in (4, 5):
-        for r in (2, 3):
-            L, _ = ramsey_complex(n, contains_clique(3))
-            assert (is_admissible(n, contains_clique(3), r, allow_empty_classes=False)
-                    == is_r_unavoidable(L, r)[0]), (n, r)
+ADMISSIBILITY_GRID = [
+    (n, k, r, allow_empty)
+    for n in range(3, 7) for k in (3, 4) for r in (2, 3, 4) for allow_empty in (True, False)
+    if k <= n and r ** (n * (n - 1) // 2) <= 1 << 20]
+
+
+@pytest.mark.parametrize(
+    "n, k, r, allow_empty", ADMISSIBILITY_GRID,
+    ids=[f"n{n}-k{k}-r{r}-{'empty' if e else 'nonempty'}" for n, k, r, e in ADMISSIBILITY_GRID])
+def test_admissibility_equivalence_with_unavoidability(n, k, r, allow_empty):
+    # A class is a face exactly when the other classes have the property, and
+    # an empty class is the empty face: every r-coloring is admissible, with or
+    # without empty classes, exactly when the edge complex is r-unavoidable.
+    L, _ = ramsey_complex(n, contains_clique(k))
+    assert (is_admissible(n, contains_clique(k), r, allow_empty_classes=allow_empty)
+            == is_r_unavoidable(L, r)[0])
 
 
 def test_clique_property_is_monotone():

@@ -673,6 +673,11 @@ def test_json_weights_require_weight_lists():
         measure_from_json({"weights": "11"})
     with pytest.raises(ValueError, match="missing key"):
         measure_from_json({})
+    for not_an_object in ([1, 2], "abc", None, 3):
+        with pytest.raises(ValueError, match="JSON object"):
+            weights_from_json(not_an_object)
+        with pytest.raises(ValueError, match="JSON object"):
+            measure_from_json(not_an_object)
     assert weights_from_json({"m": 2, "family": [[1], [2]], "omega": ["1", "1"]}).omega == (1, 1)
     assert measure_from_json({"weights": ["1", "1"]}).weights == (1, 1)
 
