@@ -99,20 +99,20 @@ class DimensionForm:
     agrees: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Certificate:
     kind: str  # join_nonembeddable | single_nonembeddable | index_join_bound | index_product_bound
     r: int
-    prime_power: Optional[PrimePower]
-    d: Optional[int]
-    s: Optional[int]
-    factors: tuple[FactorCheck, ...]
-    inequality: Optional[Inequality]
-    bound: Optional[int]
-    dimension_form: Optional[DimensionForm]
+    prime_power: Optional[PrimePower] = None
+    d: Optional[int] = None
+    s: Optional[int] = None
+    factors: tuple[FactorCheck, ...] = ()
+    inequality: Optional[Inequality] = None
+    bound: Optional[int] = None
+    dimension_form: Optional[DimensionForm] = None
     verdict: str
-    reasons: tuple[str, ...]
-    conclusion: Optional[str]
+    reasons: tuple[str, ...] = ()
+    conclusion: Optional[str] = None
 
 
 def exit_code(cert: Certificate) -> int:
@@ -134,12 +134,10 @@ def _check_factor(K: SimplicialComplex, r: int, s: Optional[int]) -> FactorCheck
 
 def _abstention(kind: str, r: int, d: Optional[int], s: Optional[int]) -> Certificate:
     return Certificate(
-        kind=kind, r=r, prime_power=None, d=d, s=s, factors=(),
-        inequality=None, bound=None, dimension_form=None,
+        kind=kind, r=r, d=d, s=s,
         verdict=ABSTAINED,
         reasons=(f"r = {r} is not a prime power; the criterion is silent there "
                  "and its conclusion can genuinely fail",),
-        conclusion=None,
     )
 
 
@@ -152,16 +150,13 @@ def _index_bound(kind: str, space: str, K: SimplicialComplex, r: int, s: Optiona
     if not check.unavoidable:
         label = f"{r}-unavoidable" if s is None else f"({r},{s})-unavoidable"
         return Certificate(
-            kind=kind, r=r, prime_power=pp, d=None, s=s, factors=(check,),
-            inequality=None, bound=None, dimension_form=None,
+            kind=kind, r=r, prime_power=pp, s=s, factors=(check,),
             verdict=ABSTAINED,
             reasons=(f"hypothesis failed: the complex is not {label}",),
-            conclusion=None,
         )
     return Certificate(
-        kind=kind, r=r, prime_power=pp, d=None, s=s, factors=(check,),
-        inequality=None, bound=bound, dimension_form=None,
-        verdict=CERTIFIED, reasons=(),
+        kind=kind, r=r, prime_power=pp, s=s, factors=(check,), bound=bound,
+        verdict=CERTIFIED,
         conclusion=f"the equivariant index of the {r}-fold deleted {space} is at least {bound}",
     )
 
@@ -228,7 +223,7 @@ def certify_join_nonembeddable(
     certified = not reasons
     return Certificate(
         kind="join_nonembeddable", r=r, prime_power=pp, d=d, s=s, factors=checks,
-        inequality=ineq, bound=None, dimension_form=dimension_form,
+        inequality=ineq, dimension_form=dimension_form,
         verdict=CERTIFIED if certified else NOT_CERTIFIED,
         reasons=tuple(reasons),
         conclusion=(
@@ -259,8 +254,8 @@ def certify_single_nonembeddable(K: SimplicialComplex, r: int, d: int) -> Certif
         reasons.append(f"inequality fails: {ineq.text}")
     certified = not reasons
     return Certificate(
-        kind="single_nonembeddable", r=r, prime_power=pp, d=d, s=None, factors=(check,),
-        inequality=ineq, bound=None, dimension_form=None,
+        kind="single_nonembeddable", r=r, prime_power=pp, d=d, factors=(check,),
+        inequality=ineq,
         verdict=CERTIFIED if certified else NOT_CERTIFIED,
         reasons=tuple(reasons),
         conclusion=(

@@ -4,7 +4,10 @@ Subcommands: analyze | pi | dual | realize | wh | gen | join | deljoin | certify
 ``--json`` switches stdout to a schema-stable report; identical inputs and
 flags produce byte-identical JSON (the ``timings`` field is excluded from
 that guarantee).  Exit codes: 0 ok/certified, 1 usage, 2 input parse,
-3 not certified, 4 abstained, 5 budget exceeded.
+3 not certified, 4 abstained, 5 budget exceeded.  Usage errors are decided
+before any input file is read, apart from an unwritable ``-o`` path, which
+is found when the output is written; ``run`` maps every error to its exit
+code in one place.
 """
 
 from __future__ import annotations
@@ -104,6 +107,15 @@ def _load_complex(path: str, report: dict) -> SimplicialComplex:
     return K
 
 
+def _check_value(text: str) -> tuple[int, int | None]:
+    """``--check`` value ``R`` or ``R:S`` as ``(r, s)``, ``s`` None for ``R``."""
+    r_text, colon, s_text = text.partition(":")
+    try:
+        return int(r_text), int(s_text) if colon else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; use R or R:S") from None
+
+
 def _verdict_json(verdict: LpVerdict) -> dict:
     return {
         "feasible": verdict.feasible,
@@ -129,7 +141,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pi", parents=[common], help="partition number with packing witness")
     p.add_argument("file")
-    p.add_argument("--check", action="append", default=[], metavar="R[:S]",
+    p.add_argument("--check", action="append", default=[], type=_check_value, metavar="R[:S]",
                    help="also report (r,s)-unavoidability; repeatable")
 
     p = sub.add_parser("analyze", parents=[common], help="summary: pi, self-duality, unavoidability")
@@ -169,10 +181,6 @@ def build_parser() -> _Parser:
     g.add_argument("--clique", type=int, required=True)
     g.add_argument("--r", type=int, default=2)
     g.add_argument("--check-admissible", action="store_true")
-    g.add_argument("--no-empty-classes", action="store_true",
-                   help="no effect: an empty coloring class is the empty face")
-    g.add_argument("--budget", type=int,
-                   help="no effect: admissibility is r-unavoidability, decided by pi's search")
     g.add_argument("-o", "--output", default=None)
     g = gsub.add_parser("selfdual", parents=[common])
     g.add_argument("--m", type=int, required=True)
@@ -244,13 +252,7 @@ def _cmd_pi(args, report):
     d_max, packing = max_disjoint_min_nonfaces(K)
     pi = d_max + 1
     r_checks = []
-    for check_text in args.check:
-        r_text, colon, s_text = check_text.partition(":")
-        try:
-            r = int(r_text)
-            s = int(s_text) if colon else None
-        except ValueError:
-            raise UsageError(f"bad --check value {check_text!r}; use R or R:S") from None
+    for r, s in args.check:
         ok, witness = is_r_unavoidable(K, r) if s is None else is_rs_unavoidable(K, r, s)
         r_checks.append({"r": r, "s": s, "verdict": ok,
                          "witness": None if witness is None else asdict(witness)})
@@ -320,11 +322,7 @@ def _cmd_realize(args, report):
 def _cmd_wh(args, report):
     K = _load_complex(args.file, report)
     if args.canonical:
-        try:
-            F = selfdual_wh_realization(K)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        results = weights_to_json(F)
+        results = weights_to_json(selfdual_wh_realization(K))
         return results, [json.dumps(results)], EXIT_OK
     try:
         F = weights_from_json(json.loads(_read(args.weights, report)))
@@ -373,10 +371,10 @@ def _cmd_deljoin(args, report):
 
 
 def _cmd_certify(args, report):
+    if args.single and len(args.files) != 1:
+        raise UsageError("--single takes exactly one complex")
     complexes = [_load_complex(path, report) for path in args.files]
     if args.single:
-        if len(complexes) != 1:
-            raise UsageError("--single takes exactly one complex")
         cert = certify_single_nonembeddable(complexes[0], args.r, args.d)
     else:
         cert = certify_join_nonembeddable(complexes, args.r, args.d)
@@ -408,34 +406,22 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.schema:
+            print(json.dumps(_SCHEMAS, indent=2))
+            return EXIT_OK
+        if args.command is None:
+            raise UsageError("a subcommand is required (see --help)")
+        t0 = time.perf_counter()
+        report = {"command": args.command, "version": __version__, "inputs": {},
+                  "results": None, "timings": {}}
+        report["results"], plain, code = _COMMANDS[args.command](args, report)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if args.schema:
-        print(json.dumps(_SCHEMAS, indent=2))
-        return EXIT_OK
-    if args.command is None:
-        print("error: a subcommand is required (see --help)", file=sys.stderr)
-        return EXIT_USAGE
-    t0 = time.perf_counter()
-    report = {"command": args.command, "version": __version__, "inputs": {},
-              "results": None, "timings": {}}
-    try:
-        report["results"], plain, code = _COMMANDS[args.command](args, report)
-    except UsageError as exc:
+    except (UsageError, BudgetExceededError, InputError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_PARSE
     report["timings"]["total_ms"] = (time.perf_counter() - t0) * 1e3
     if args.json:
         print(json.dumps(report, indent=2))

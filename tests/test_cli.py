@@ -228,19 +228,21 @@ def test_gen_ramsey_admissibility_past_the_coloring_scan(capsys):
     assert run(["gen", "ramsey", "--n", "7", "--clique", "3", "--r", "3",
                 "--check-admissible"]) == 0
     assert _capture(capsys)[0].splitlines()[0] == "admissible = true"
-    # --budget bounds nothing: 10 is far below the 2^10 colorings of K_5's edges.
+    # A "no" answer comes from the same search: none of the 2^10 colorings
+    # of K_5's edges is scanned.
     assert run(["gen", "ramsey", "--n", "5", "--clique", "3", "--r", "2",
-                "--check-admissible", "--budget", "10"]) == 0
+                "--check-admissible"]) == 0
     assert _capture(capsys)[0].splitlines()[0] == "admissible = false"
 
 
 def test_gen_ramsey_no_empty_classes(capsys):
+    # An empty coloring class is the empty face: no flag turns that off or on.
     argv = ["gen", "ramsey", "--n", "5", "--clique", "3", "--r", "3", "--check-admissible"]
-    assert run(argv + ["--no-empty-classes"]) == 0
-    out, _ = _capture(capsys)
-    assert out.splitlines()[0] == "admissible = true"
-    assert run(argv + ["--allow-empty-classes"]) == 1  # the default needs no flag
-    capsys.readouterr()
+    assert run(argv) == 0
+    assert _capture(capsys)[0].splitlines()[0] == "admissible = true"
+    for flag in ("--no-empty-classes", "--allow-empty-classes"):
+        assert run(argv + [flag]) == 1
+        assert _capture(capsys)[1] == f"error: unrecognized arguments: {flag}\n"
 
 
 def test_join_command(points5, capsys):
@@ -282,10 +284,21 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     capsys.readouterr()
     good = tmp_path / "good.scx"
     good.write_text("m 3\n1\n2\n3\n")
-    assert run(["pi", str(good), "--check", "3:2:9"]) == 1
-    assert "use R or R:S" in capsys.readouterr().err
-    assert run(["certify", "--single", "--r", "3", "--d", "1", str(good), str(good)]) == 1
-    assert "exactly one complex" in capsys.readouterr().err
+    # Usage errors are found before any input is read, so a missing file
+    # does not turn them into input errors.
+    for path in (good, missing):
+        assert run(["pi", str(path), "--check", "3:2:9"]) == 1
+        assert "use R or R:S" in capsys.readouterr().err
+        assert run(["pi", str(path), "--check", "x"]) == 1
+        assert capsys.readouterr().err == "error: argument --check: bad value 'x'; use R or R:S\n"
+        assert run(["certify", "--single", "--r", "3", "--d", "1", str(good), str(path)]) == 1
+        assert "exactly one complex" in capsys.readouterr().err
+    ramsey = ["gen", "ramsey", "--n", "5", "--clique", "3", "--check-admissible"]
+    for flag in (["--budget", "10"], ["--no-empty-classes"]):
+        assert run(ramsey + flag) == 1
+        out, err = _capture(capsys)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_unwritable_output_is_a_usage_error(points5, tmp_path, capsys):
