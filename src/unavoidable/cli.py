@@ -7,18 +7,34 @@ that guarantee).  Exit codes: 0 ok/certified, 1 usage, 2 input parse,
 3 not certified, 4 abstained, 5 budget exceeded.  Usage errors are decided
 before any input file is read, apart from an unwritable ``-o`` path, which
 is found when the output is written; ``run`` maps every error to its exit
-code in one place.
+code in one place.  ``main`` adds one more code: 141 (128 + SIGPIPE) when
+stdout is closed early, as in ``unavoidable gen ... | head -1``.
+
+The parser is built once per process (``build_parser`` is cached), so
+repeated ``run`` calls pay argparse's set-up once.  Input files are hashed
+with the interpreter's built-in SHA-256, not through ``hashlib``, whose
+import loads OpenSSL; the digests are the same.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
+
+# The fallback chain ``random`` uses for SHA-512; ``hashlib`` loads OpenSSL.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import __version__
 from .complexes import (
@@ -91,7 +107,7 @@ def _read(path: str, report: dict) -> str:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from None
-    report["inputs"][path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    report["inputs"][path] = "sha256:" + _sha256(data).hexdigest()
     return text
 
 
@@ -125,6 +141,7 @@ def _verdict_json(verdict: LpVerdict) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     # Global flags are declared on the main parser (with real defaults) and on
     # every subparser (defaulting to SUPPRESS), so they parse in any position.
@@ -300,6 +317,9 @@ def _cmd_analyze(args, report):
 def _cmd_dual(args, report):
     dual = alexander_dual(_load_complex(args.file, report))
     if dual is VOID:
+        if args.output:
+            raise InputError(f"{args.file}: the Alexander dual is void and has no .scx form; "
+                             f"{args.output} not written")
         return {"void": True, "scx": None}, ["void"], EXIT_OK
     text = format_scx(dual)
     return {"void": False, "scx": text}, _scx_out(args, text, []), EXIT_OK
@@ -432,7 +452,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: end quietly.  Pointing stdout at devnull
+        # keeps the interpreter's final flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .bitsets import full_mask
+from .bitsets import check_ground_set, full_mask
 from .complexes import Measure, SimplicialComplex, from_facets, sublevel_complex
 from .errors import BudgetExceededError
 
@@ -36,6 +36,9 @@ SKELETON_MAX_ANTICHAINS = 1 << 17
 def skeleton(k: int, m: int) -> SimplicialComplex:
     """The k-skeleton of the (m-1)-simplex: all subsets of [m] of size <= k+1.
 
+    Built in closed form: the facets are the (k+1)-subsets and the minimal
+    non-faces the (k+2)-subsets, so no dualization runs.
+
     Raises ``BudgetExceededError`` before building a facet when its facets and
     minimal non-faces number more than ``SKELETON_MAX_ANTICHAINS``.
     """
@@ -46,7 +49,14 @@ def skeleton(k: int, m: int) -> SimplicialComplex:
         raise BudgetExceededError(
             f"skeleton({k}, {m}) has {members} facets and minimal non-faces, "
             f"over the limit {SKELETON_MAX_ANTICHAINS}")
-    return from_facets(m, combinations(range(1, m + 1), k + 1))
+    check_ground_set(m)
+    bits = [1 << v for v in range(m)]
+
+    def level(size: int) -> tuple[int, ...]:
+        # Combinations of the bits come out in canonical order; disjoint bits sum to their union.
+        return tuple(map(sum, combinations(bits, size)))
+
+    return SimplicialComplex(m, level(k + 1), level(k + 2))
 
 
 def points(m: int) -> SimplicialComplex:

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from unavoidable import contains_clique, is_admissible, parse_scx
-from unavoidable.cli import run
+from unavoidable.cli import build_parser, run
 from unavoidable.errors import BudgetExceededError
 
 
@@ -125,6 +127,16 @@ def test_dual_void(tmp_path, capsys):
     assert run(["--json", "dual", str(path)]) == 0
     out, _ = _capture(capsys)
     assert json.loads(out)["results"] == {"void": True, "scx": None}
+    # The void family has no .scx form: with -o, say so and write nothing.
+    target = tmp_path / "out.scx"
+    for argv in (["dual", str(path), "-o", str(target)],
+                 ["--json", "dual", str(path), "-o", str(target)]):
+        assert run(argv) == 2
+        out, err = _capture(capsys)
+        assert out == ""
+        assert err == (f"error: {path}: the Alexander dual is void and has no .scx form; "
+                       f"{target} not written\n")
+        assert not target.exists()
 
 
 def test_realize_command(points5, capsys):
@@ -373,6 +385,32 @@ def test_repeat_runs_in_one_process_leave_no_state(points5, capsys):
         assert _capture(capsys)[1].startswith("error: unrecognized arguments")
 
 
+def test_parser_is_built_once_per_process(points5, capsys):
+    build_parser.cache_clear()
+    assert run(["pi", points5, "--check", "3"]) == 0
+    assert run(["--json", "pi", points5]) == 0
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 1
+
+
+def test_import_does_not_load_openssl():
+    # Input digests use the interpreter's built-in SHA-256; hashlib would load OpenSSL.
+    code = "import sys, unavoidable.cli; sys.exit('_hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_closed_stdout_ends_quietly_with_exit_141():
+    # About 185 kB of output: far more than a pipe buffers after one line is read.
+    argv = [sys.executable, "-c", "from unavoidable.cli import main; main()",
+            "gen", "skeleton", "--k", "5", "--m", "17"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"m 17\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+    assert err == b""
+
+
 def test_schema_flag(capsys):
     assert run(["--schema"]) == 0
     out, _ = _capture(capsys)
@@ -429,8 +467,6 @@ def test_json_identical_across_processes_and_hash_seeds(points5, tmp_path):
     # set-iteration order inside the library must never leak into output:
     # fresh interpreters with different hash seeds must emit identical bytes.
     import os
-    import subprocess
-    import sys
 
     argv = [sys.executable, "-m", "unavoidable.cli", "--json", "analyze", points5, "--r", "3"]
     outputs = set()

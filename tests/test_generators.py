@@ -2,6 +2,7 @@
 deleted-join counts."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -51,6 +52,15 @@ def test_skeleton_examples():
     with pytest.raises(BudgetExceededError, match="skeleton"):
         skeleton(5, 40)
     assert len(skeleton(5, 13).facets) == 1716
+
+
+def test_skeleton_closed_form_matches_from_facets():
+    for m in range(1, 15):
+        for k in range(m):
+            K = skeleton(k, m)
+            assert K == from_facets(m, itertools.combinations(range(1, m + 1), k + 1)), (k, m)
+    with pytest.raises(ValueError, match="ground-set size"):
+        skeleton(0, 64)
 
 
 def test_points_examples():
