@@ -178,7 +178,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("wh", parents=[common], help="weighted-hypergraph realizability")
     p.add_argument("file")
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int, default=None)  # 2 unless given; refused with --canonical
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weights", default=None, help="weights JSON file")
     group.add_argument("--canonical", action="store_true",
@@ -196,7 +196,7 @@ def build_parser() -> _Parser:
     g = gsub.add_parser("ramsey", parents=[common])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--clique", type=int, required=True)
-    g.add_argument("--r", type=int, default=2)
+    g.add_argument("--r", type=int, default=None)  # 2 unless given; needs --check-admissible
     g.add_argument("--check-admissible", action="store_true")
     g.add_argument("-o", "--output", default=None)
     g = gsub.add_parser("selfdual", parents=[common])
@@ -251,6 +251,15 @@ _SCHEMAS = {
     "certify": "certificate object (kind, r, prime_power, d, s, factors, inequality, "
                "bound, dimension_form, verdict, reasons, conclusion)",
 }
+
+
+def _refuse_ignored_flags(args) -> None:
+    """Refuse ``--r`` where the chosen mode would not read it (exit 1)."""
+    if args.command == "wh" and args.canonical and args.r is not None:
+        raise UsageError("argument --r: not allowed with argument --canonical")
+    if (args.command == "gen" and args.generator == "ramsey" and args.r is not None
+            and not args.check_admissible):
+        raise UsageError("argument --r: only allowed with argument --check-admissible")
 
 
 def _scx_out(args, text: str, plain_lines_prefix: list[str]) -> list[str]:
@@ -348,7 +357,7 @@ def _cmd_wh(args, report):
         F = weights_from_json(json.loads(_read(args.weights, report)))
     except (ValueError, TypeError) as exc:
         raise InputError(f"{args.weights}: {exc}") from None
-    ok = wh_realization_check(K, args.r, F)
+    ok = wh_realization_check(K, 2 if args.r is None else args.r, F)
     return {"verdict": ok}, [f"verdict = {str(ok).lower()}"], EXIT_OK
 
 
@@ -364,7 +373,7 @@ def _cmd_gen(args, report):
         K, table = ramsey_complex(args.n, contains_clique(args.clique))
         results["edges"] = [list(e) for e in table]
         if args.check_admissible:
-            results["admissible"] = is_r_unavoidable(K, args.r)[0]
+            results["admissible"] = is_r_unavoidable(K, 2 if args.r is None else args.r)[0]
     text = format_scx(K)
     results["scx"] = text
     plain: list[str] = []
@@ -431,6 +440,7 @@ def run(argv) -> int:
             return EXIT_OK
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
+        _refuse_ignored_flags(args)
         t0 = time.perf_counter()
         report = {"command": args.command, "version": __version__, "inputs": {},
                   "results": None, "timings": {}}

@@ -1,10 +1,14 @@
 """Immutable simplicial complexes on a ground set {1, ..., m}.
 
 A complex is stored by its facets (inclusion-maximal faces) together with the
-cached antichain of minimal non-faces computed at construction time, as the
-minimal transversals of the facet complements (sub-level complexes of
-measures are built from their antichains too, without a face walk; see
-:func:`sublevel_complex`).  The two antichains support both membership routes:
+cached antichain of minimal non-faces computed at construction time.
+:func:`from_facets` reads both antichains off the face indicator, one 2^m-bit
+int down-closed by word-parallel subset transforms, when the facets given are
+many for m (at least 2^m / 64, m <= 22); otherwise it keeps the maximal
+facets pairwise and finds the minimal non-faces as the minimal transversals
+of the facet complements (MMCS).  Sub-level complexes of measures are built
+from their antichains too, without a face walk; see :func:`sublevel_complex`.
+The two antichains support both membership routes:
 
     A is a face  <=>  A is contained in some facet
                  <=>  A contains no minimal non-face
@@ -37,6 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -117,16 +123,18 @@ class SimplicialComplex:
         return self.is_face(subset)
 
     def face_table(self) -> bytearray:
-        """Byte A is 1 iff mask A is a face, for all 2^m masks (m <= SWEEP_MAX_GROUND_SET)."""
+        """Byte A is 1 iff mask A is a face, for all 2^m masks (m <= SWEEP_MAX_GROUND_SET).
+
+        The bytes are read off the 2^m-bit face indicator (see
+        :func:`_face_indicator`): byte 8j+p is bit p of the indicator's byte j.
+        """
         if self.m > SWEEP_MAX_GROUND_SET:
             raise BudgetExceededError(f"face tables support m <= {SWEEP_MAX_GROUND_SET}")
-        table = bytearray(1 << self.m)
-        for facet in self.facets:
-            table[facet] = 1
-        for mask in reversed(range(len(table))):  # supersets first: faces are marked before reached
-            if table[mask]:
-                for low in iter_singletons(mask):
-                    table[mask ^ low] = 1
+        packed = _face_indicator(self.m, self.facets).to_bytes(_indicator_bytes(self.m), "little")
+        table = bytearray(len(packed) << 3)
+        for p in range(8):
+            table[p::8] = packed.translate(_BIT[p])
+        del table[1 << self.m:]
         return table
 
     @cached_property
@@ -154,14 +162,33 @@ class SimplicialComplex:
         return f"SimplicialComplex(m={self.m}, facets={shown}{more})"
 
 
+# _BIT[p] maps each byte to its bit p (0 or 1): a bytes.translate table.
+_BIT = tuple(bytes(byte >> p & 1 for byte in range(256)) for p in range(8))
+
+
 def _incidence_rows(m: int, masks: Sequence[int]) -> list[int]:
     # Row v has bit i set iff masks[i] contains vertex v+1, so one big-int AND
     # of rows intersects whole columns of the family at once.
-    occ = [0] * m
-    for i, mask in enumerate(masks):
-        for low in iter_singletons(mask):
-            occ[low.bit_length() - 1] |= 1 << i
-    return occ
+    if len(masks) <= 32:
+        # Rows of at most 32 bits: ORing in one bit at a time stays linear,
+        # and beats the fixed cost of the 8m slices below.
+        occ = [0] * m
+        for i, mask in enumerate(masks):
+            for low in iter_singletons(mask):
+                occ[low.bit_length() - 1] |= 1 << i
+        return occ
+    # Larger families are transposed in bytes.  With 8 bytes per mask, the
+    # slice [8q + k :: 64] holds byte k of masks q, q+8, q+16, ...; byte j
+    # of row 8k+p gets bit p of the j-th of them at its bit q.
+    data = struct.pack(f"<{len(masks)}Q", *masks)
+    rows = []
+    for v in range(m):
+        k, bit = v >> 3, _BIT[v & 7]
+        row = 0
+        for q in range(8):
+            row |= int.from_bytes(data[8 * q + k::64].translate(bit), "little") << q
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -224,6 +251,69 @@ def _maximal_antichain(masks: Iterable[int]) -> list[int]:
     return out
 
 
+# Bytes of the 2^m-bit indicator of the masks that contain vertex i+1, for
+# i < 3; from i = 3 on, the indicator runs of 2^i zero bits, then 2^i one
+# bits, are whole bytes.
+_LOW_VERTEX_BYTES = (b"\xaa", b"\xcc", b"\xf0")
+
+
+def _indicator_bytes(m: int) -> int:
+    return max(1, (1 << m) >> 3)
+
+
+def _containing(m: int, i: int) -> int:
+    # Bit A is set iff mask A contains vertex i+1 (A has bit i), for A < 2^m.
+    if i < 3:
+        block = _LOW_VERTEX_BYTES[i]
+    else:
+        half = 1 << (i - 3)
+        block = bytes(half) + b"\xff" * half
+    bits = int.from_bytes(block * ((1 << m) // (len(block) << 3) or 1), "little")
+    return bits if m >= 3 else bits & ((1 << (1 << m)) - 1)
+
+
+def _face_indicator(m: int, facets: Iterable[int]) -> int:
+    # The down-closure of the facets as one 2^m-bit int: bit A is set iff
+    # mask A lies in some facet.  Step i adds A - i for every marked A that
+    # contains i, so after all m steps every subset of a facet is marked
+    # (the subset zeta transform over OR, done a whole row of bits at a time:
+    # Yates 1937; Bjorklund-Husfeldt-Kaski-Koivisto 2007).
+    table = bytearray(_indicator_bytes(m))
+    for facet in facets:
+        table[facet >> 3] |= 1 << (facet & 7)
+    faces = int.from_bytes(table, "little")
+    for i in range(m):
+        faces |= (faces & _containing(m, i)) >> (1 << i)
+    return faces
+
+
+_ONE = re.compile("1")
+
+
+def _set_bits(bits: int) -> list[int]:
+    # bin() reversed puts bit A at index A.
+    return [one.start() for one in _ONE.finditer(bin(bits)[:1:-1])]
+
+
+def _antichains_from_indicator(m: int, masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    # Facets and minimal non-faces from the face indicator, with about 4m
+    # big-int operations on 2^m bits.  A face A is a facet unless A + i is a
+    # face for some i not in A; a non-face A is minimal unless A - i is a
+    # non-face for some i in A.  Shifting by 2^i lines A up with A + i (or
+    # A - i), and the vertex indicator keeps the A that do not (or do)
+    # contain i; the faces are down-closed and the non-faces up-closed, so
+    # both marked sets lie inside the set they are removed from.
+    faces = _face_indicator(m, masks)
+    nonfaces = ((1 << (1 << m)) - 1) ^ faces
+    below_a_face = above_a_nonface = 0
+    for i in range(m):
+        has_i = _containing(m, i)
+        below_a_face |= (faces & has_i) >> (1 << i)
+        above_a_nonface |= (nonfaces << (1 << i)) & has_i
+    return (canonical(_set_bits(faces ^ below_a_face)),
+            canonical(_set_bits(nonfaces ^ above_a_nonface)))
+
+
 def _min_nonfaces_from_facets(m: int, facets: tuple[int, ...]) -> tuple[int, ...]:
     # A set is a non-face iff it meets every facet complement, so the minimal
     # non-faces are the minimal transversals of the complements.  They are
@@ -268,12 +358,22 @@ def from_facets(m: int, facets: Iterable[SubsetLike]) -> SimplicialComplex:
     The input list is deduplicated and reduced to its maximal elements;
     minimal non-faces are computed and cached.  The complex {0} is given as
     the single empty facet; an empty facet list (the void family) is rejected.
+
+    Both antichains come from one of two exact routes, chosen by a fixed cost
+    rule.  With at least 2^m / 64 facets given and m <= SWEEP_MAX_GROUND_SET,
+    they are read off the 2^m-bit face indicator in about 4m big-int
+    operations (:func:`_antichains_from_indicator`).  Otherwise (few facets
+    on a large ground set, or any m above the cap) the facets are reduced
+    pairwise and the minimal non-faces enumerated by MMCS, whose cost follows
+    the sizes of the two antichains, not 2^m.
     """
     check_ground_set(m)
     masks = [as_mask(m, f) for f in facets]
     if not masks:
         raise ValueError("facet list is empty: the void complex cannot be represented "
                          "(give the complex {0} as the single empty facet)")
+    if m <= SWEEP_MAX_GROUND_SET and len(masks) << 6 >= 1 << m:
+        return SimplicialComplex(m, *_antichains_from_indicator(m, masks))
     maximal = tuple(_maximal_antichain(masks))
     return SimplicialComplex(m, maximal, _min_nonfaces_from_facets(m, maximal))
 
@@ -604,6 +704,8 @@ def sublevel_complex(nu, beta: RationalLike) -> SimplicialComplex:
 # "#" starts a comment.  parse_scx(format_scx(K)) == K, and format_scx
 # reproduces canonical files byte for byte.
 
+_BIT_OF = (1).__lshift__  # vertex v -> 1 << v, so a facet's mask is their sum >> 1
+
 
 def format_scx(K: SimplicialComplex) -> str:
     lines = [f"m {K.m}"]
@@ -614,6 +716,9 @@ def format_scx(K: SimplicialComplex) -> str:
 
 def parse_scx(text: str) -> SimplicialComplex:
     m: int | None = None
+    top = 0  # the highest vertex whose mask is built here: m, if m is a legal ground set
+    # Masks, except that a line with a vertex outside 1..top keeps its vertex
+    # list, for from_facets to reject with the message as_mask gives.
     facets: list[SubsetLike] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -627,17 +732,20 @@ def parse_scx(text: str) -> SimplicialComplex:
                 m = int(parts[1])
             except ValueError:
                 raise ScxFormatError(f"line {lineno}: bad ground-set size {parts[1]!r}") from None
+            top = m if m <= MAX_GROUND_SET else 0
             continue
         if line == "-":
             facets.append(0)
             continue
         try:
-            verts = [int(tok) for tok in line.split()]
+            verts = list(map(int, line.split()))
         except ValueError:
             raise ScxFormatError(f"line {lineno}: facet must be integers, got {line!r}") from None
-        if any(a >= b for a, b in zip(verts, verts[1:])):
+        if sorted(set(verts)) != verts:
             raise ScxFormatError(f"line {lineno}: vertices must be strictly increasing")
-        facets.append(verts)
+        # Increasing, so the first and last vertex bound the rest.
+        facets.append(sum(map(_BIT_OF, verts)) >> 1 if 1 <= verts[0] and verts[-1] <= top
+                      else verts)
     if m is None:
         raise ScxFormatError("missing 'm <int>' header line")
     if not facets:

@@ -163,6 +163,8 @@ def test_wh_canonical_and_check(skel15, tmp_path, capsys):
     assert run(["wh", skel15, "--r", "2", "--weights", str(wfile)]) == 0
     out, _ = _capture(capsys)
     assert "verdict = true" in out
+    assert run(["wh", skel15, "--weights", str(wfile)]) == 0  # --r defaults to 2
+    assert _capture(capsys) == (out, "")
 
 
 def test_wh_weights_zero_denominator_is_input_error(skel15, tmp_path, capsys):
@@ -230,6 +232,9 @@ def test_gen_ramsey_with_admissibility(tmp_path, capsys):
     out, _ = _capture(capsys)
     assert "admissible = false" in out
     assert path.read_text().startswith("m 10\n")
+    # Without --r, admissibility is asked for r = 2.
+    assert run(["gen", "ramsey", "--n", "5", "--clique", "3", "--check-admissible"]) == 0
+    assert _capture(capsys)[0].splitlines()[0] == "admissible = false"
 
 
 def test_gen_ramsey_admissibility_past_the_coloring_scan(capsys):
@@ -305,12 +310,19 @@ def test_usage_and_parse_errors(tmp_path, capsys):
         assert capsys.readouterr().err == "error: argument --check: bad value 'x'; use R or R:S\n"
         assert run(["certify", "--single", "--r", "3", "--d", "1", str(good), str(path)]) == 1
         assert "exactly one complex" in capsys.readouterr().err
+        # --r is refused, not ignored, where the mode does not read it.
+        assert run(["wh", str(path), "--canonical", "--r", "7"]) == 1
+        assert capsys.readouterr().err == \
+            "error: argument --r: not allowed with argument --canonical\n"
     ramsey = ["gen", "ramsey", "--n", "5", "--clique", "3", "--check-admissible"]
     for flag in (["--budget", "10"], ["--no-empty-classes"]):
         assert run(ramsey + flag) == 1
         out, err = _capture(capsys)
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+    assert run(["gen", "ramsey", "--n", "5", "--clique", "3", "--r", "9"]) == 1
+    assert _capture(capsys) == \
+        ("", "error: argument --r: only allowed with argument --check-admissible\n")
 
 
 def test_unwritable_output_is_a_usage_error(points5, tmp_path, capsys):

@@ -23,11 +23,18 @@ from unavoidable import (
     join,
     parse_scx,
     points,
+    random_selfdual,
     skeleton,
     sublevel_complex,
 )
+from unavoidable import complexes
 from unavoidable.bitsets import elements, full_mask
-from unavoidable.complexes import _maximal_antichain
+from unavoidable.complexes import (
+    _antichains_from_indicator,
+    _incidence_rows,
+    _maximal_antichain,
+    _min_nonfaces_from_facets,
+)
 from unavoidable.errors import BudgetExceededError
 
 from oracles import brute_faces, brute_min_nonfaces, oracle_num_faces, random_complex
@@ -124,6 +131,81 @@ def test_maximal_antichain_matches_pairwise_filter():
     assert _maximal_antichain([0, 0]) == [0]
 
 
+def _mmcs_antichains(m, masks):
+    maximal = tuple(_maximal_antichain(masks))
+    return maximal, _min_nonfaces_from_facets(m, maximal)
+
+
+def test_indicator_antichains_match_mmcs_on_random_complexes():
+    # Facets are drawn non-maximal and duplicated on purpose; a random support
+    # leaves isolated vertices.
+    rng = random.Random(32)
+    cases = [(m, [0]) for m in range(1, 13)] + [(m, [full_mask(m)]) for m in range(1, 13)]
+    cases += [(m, [0, full_mask(m), 0]) for m in (1, 2, 3, 9)]
+    for _ in range(2400):
+        m = rng.randint(1, 12)
+        support = rng.getrandbits(m) if rng.random() < 0.3 else full_mask(m)
+        facets = [rng.getrandbits(m) & rng.getrandbits(m) & support
+                  for _ in range(rng.randint(1, 24))]
+        facets += [a & rng.getrandbits(m) for a in rng.choices(facets, k=rng.randint(0, 6))]
+        facets += rng.choices(facets, k=rng.randint(0, 4)) + [0] * rng.randint(0, 1)
+        cases.append((m, facets))
+    for m, facets in cases:
+        assert _antichains_from_indicator(m, facets) == _mmcs_antichains(m, facets), (m, facets)
+
+
+def test_indicator_antichains_on_selfdual_complexes_and_skeletons():
+    # random_selfdual's antichains come from the threshold pass, which shares
+    # no code with either route; MMCS runs as the oracle where it is quick.
+    for m in range(16, 21):
+        K = random_selfdual(m, 0)
+        assert _antichains_from_indicator(m, K.facets) == (K.facets, K.min_nonfaces)
+        assert from_facets(m, reversed(K.facets)) == K
+        if m <= 18:
+            assert _mmcs_antichains(m, K.facets) == (K.facets, K.min_nonfaces)
+    for k, m in ((0, 7), (1, 9), (2, 12), (3, 9), (4, 11), (5, 13)):
+        K = skeleton(k, m)
+        assert _antichains_from_indicator(m, K.facets) == (K.facets, K.min_nonfaces)
+        assert _mmcs_antichains(m, K.facets) == (K.facets, K.min_nonfaces)
+
+
+def test_from_facets_cost_rule_sides(monkeypatch):
+    # At least 2^m / 64 facets (m <= 22) take the indicator, fewer take MMCS;
+    # both sides give the brute-force antichains.
+    taken = []
+    indicator = complexes._antichains_from_indicator
+    monkeypatch.setattr(complexes, "_antichains_from_indicator",
+                        lambda m, masks: taken.append("indicator") or indicator(m, masks))
+    mmcs = complexes._min_nonfaces_from_facets
+    monkeypatch.setattr(complexes, "_min_nonfaces_from_facets",
+                        lambda m, facets: taken.append("mmcs") or mmcs(m, facets))
+    rng = random.Random(64)
+    for m in (7, 10, 12):
+        for count, route in (((1 << m) // 64 - 1, "mmcs"), ((1 << m) // 64, "indicator")):
+            facets = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(count)]
+            taken.clear()
+            K = from_facets(m, facets)
+            assert taken == [route], (m, count)
+            maximal = {a for a in facets if not any(a != b and a & ~b == 0 for b in facets)}
+            assert K.facets == tuple(sorted(maximal, key=elements))
+            assert K.min_nonfaces == tuple(sorted(brute_min_nonfaces(K), key=elements))
+    taken.clear()
+    assert from_facets(6, [0]).min_nonfaces == tuple(1 << i for i in range(6))
+    assert from_facets(23, [full_mask(22)]).min_nonfaces == (1 << 22,)
+    assert taken == ["indicator", "mmcs"]
+
+
+def test_incidence_rows_match_bit_by_bit_rows():
+    rng = random.Random(5)
+    cases = [(m, []) for m in (1, 9, 63)] + [(63, [full_mask(63)] * 40), (8, [0] * 33)]
+    for _ in range(300):
+        m = rng.randint(1, 63)
+        cases.append((m, [rng.getrandbits(m) for _ in range(rng.randint(0, 140))]))
+    for m, masks in cases:
+        naive = [sum(1 << i for i, mask in enumerate(masks) if mask >> v & 1) for v in range(m)]
+        assert _incidence_rows(m, masks) == naive, (m, masks)
+
+
 # --- membership ------------------------------------------------------------
 
 def test_contains_face_examples():
@@ -152,7 +234,11 @@ def test_membership_routes_agree_exhaustive_m10():
 
 def test_face_table_matches_is_face():
     rng = random.Random(8)
-    cases = [from_facets(m, [0]) for m in (1, 5)] + [from_facets(m, [full_mask(m)]) for m in (1, 5)]
+    cases = [from_facets(m, [0]) for m in (1, 2, 3, 5)]
+    cases += [from_facets(m, [full_mask(m)]) for m in (1, 2, 3, 5)]
+    cases += [from_facets(m, [1 << (m - 1), 1]) for m in (2, 3, 4, 10)]  # isolated vertices
+    cases += [from_facets(m, [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(40)])
+              for m in (6, 8, 10)]
     cases += [random_complex(rng, rng.randint(1, 12), max_facets=rng.randint(1, 12))
               for _ in range(60)]
     for K in cases:
@@ -412,3 +498,25 @@ def test_scx_parses_comments_and_empty_facet():
 def test_scx_rejects_malformed(bad):
     with pytest.raises(ScxFormatError):
         parse_scx(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("m 3\n1 4\n", "vertex 4 out of range 1..3"),
+    # The first vertex out of range in line order, after every line is read.
+    ("m 3\n1 2\n0 1\n3 4\n", "vertex 0 out of range 1..3"),
+    ("m 3\n2 3 7 9\n-1 2\n", "vertex 7 out of range 1..3"),
+    ("m 3\n1 4\n2 x\n", "line 3: facet must be integers, got '2 x'"),
+    ("m 3\n1 4\n2 2\n", "line 3: vertices must be strictly increasing"),
+    # The ground set is checked before the vertices, and no mask is built for it.
+    ("m 64\n100\n", "ground-set size must be in 1..63, got 64"),
+    ("m 0\n1\n", "ground-set size must be in 1..63, got 0"),
+    ("m 1000000000000\n1 999999999999\n", "ground-set size must be in 1..63, got 1000000000000"),
+])
+def test_scx_error_messages(bad, message):
+    with pytest.raises(ScxFormatError) as err:
+        parse_scx(bad)
+    assert str(err.value) == message
+
+
+def test_scx_vertices_parse_as_ints():
+    assert parse_scx("m 4\n01 +3\n 4 \n") == from_facets(4, [[1, 3], [4]])
