@@ -479,14 +479,21 @@ class Measure:
     def is_probability(self) -> bool:
         return self.total == 1
 
+    @cached_property
+    def _integer_weights(self) -> tuple[tuple[int, ...], int]:
+        # The weights as integers over their lcm D, so that value() adds ints.
+        D = math.lcm(*(w.denominator for w in self.weights))
+        return tuple(w.numerator * (D // w.denominator) for w in self.weights), D
+
     def value(self, subset: SubsetLike) -> Fraction:
         mask = as_mask(self.m, subset)
-        total = Fraction(0)
+        ws, D = self._integer_weights
+        total = 0
         while mask:
             low = mask & -mask
             mask ^= low
-            total += self.weights[low.bit_length() - 1]
-        return total
+            total += ws[low.bit_length() - 1]
+        return Fraction(total, D)
 
     @classmethod
     def uniform(cls, m: int) -> "Measure":

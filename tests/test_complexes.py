@@ -383,6 +383,21 @@ def test_sublevel_examples():
     assert tight.facets == (0b001, 0b110) and tight.min_nonfaces == (0b011, 0b101)
 
 
+def test_measure_value_is_the_fraction_sum():
+    # value() adds integer weights over their lcm; it must equal the plain
+    # Fraction sum on every subset, mask or vertex list, zero weights included.
+    rng = random.Random(11)
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        mu = Measure(tuple(Fraction(rng.randint(0, 9), rng.choice([1, 2, 3, 7, 12]))
+                           for _ in range(m - 1)) + (Fraction(1, rng.randint(1, 9)),))
+        for mask in range(1 << m):
+            expected = sum((mu.weights[v - 1] for v in elements(mask)), Fraction(0))
+            assert mu.value(mask) == expected
+            assert mu.value(elements(mask)) == expected
+        assert mu.value(full_mask(m)) == mu.total
+
+
 def test_sublevel_monotone_in_threshold():
     rng = random.Random(3)
     for _ in range(20):

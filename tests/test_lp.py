@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from unavoidable.lp import maximize
+from unavoidable.lp import _integer_row, maximize
 
 
 def test_basic_optimum_and_duals():
@@ -76,6 +76,14 @@ def test_row_length_mismatch_rejected():
         maximize([F(1)], [([F(1), F(2)], "<=", F(1))])
     with pytest.raises(ValueError):
         maximize([F(1)], [([F(1)], "<<", F(1))])
+
+
+def test_integer_rows_are_kept_with_scale_one():
+    assert _integer_row([3, -2, 0, 7]) == ([3, -2, 0, 7], 1)
+    assert _integer_row([]) == ([], 1)
+    # The same numbers as Fractions, or with one rational, take the scaling path.
+    assert _integer_row([F(3), F(-2), F(0), F(7)]) == ([3, -2, 0, 7], 1)
+    assert _integer_row([3, F(-1, 2), 0, True]) == ([6, -1, 0, 2], 2)
 
 
 def test_against_fourier_motzkin_on_random_instances():
@@ -171,3 +179,67 @@ def test_results_pinned_on_random_rational_instances():
         digest.update(repr((res.status, res.objective, res.x, res.duals, res.ray)).encode())
     assert digest.hexdigest() == (
         "d8d33e837897bb6a98be51829c00e12b239def77a5ee7a884204aec6cf79cc5a")
+
+
+def _wider_rational_lp(rng):
+    # Up to 40 columns and 12 rows, half the entries zero; about 30% of the
+    # instances repeat an equality row (exactly or scaled), which leaves a
+    # zero artificial in the basis after phase 1 to be driven out or dropped.
+    def value():
+        if rng.random() < 0.5:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 4, 6, 7]))
+
+    n = rng.randint(1, 40)
+    c = [value() for _ in range(n)]
+    rows = [([value() for _ in range(n)], rng.choice(["<=", "<=", ">=", "=="]), value())
+            for _ in range(rng.randint(1, 9))]
+    if rng.random() < 0.6:  # a positive row that bounds every variable
+        rows.append(([F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)], "<=",
+                     F(rng.randint(1, 20))))
+    if rng.random() < 0.3:
+        coeffs, rhs = [value() for _ in range(n)], value()
+        rows.insert(rng.randint(0, len(rows)), (coeffs, "==", rhs))
+        k = rng.choice([F(1), F(1), F(-2), F(3, 5)])
+        rows.insert(rng.randint(0, len(rows)), ([k * a for a in coeffs], "==", k * rhs))
+    return c, rows
+
+
+def _margin_lp(m, upper, lower, r):
+    # The dual margin LP that realize solves: columns y1, y2, one per upper
+    # set, one per lower set; one >= 0 row per vertex and sum v = 1.
+    objective = [F(-1), F(1)] + [F(-1, r)] * len(upper) + [F(1, r)] * len(lower)
+    rows = [([1, -1] + [1 if fs >> i & 1 else 0 for fs in upper]
+             + [-1 if ns >> i & 1 else 0 for ns in lower], ">=", 0) for i in range(m)]
+    rows.append(([0, 0] + [0] * len(upper) + [1] * len(lower), "==", 1))
+    return objective, rows
+
+
+def _wider_instances():
+    from oracles import random_complex
+
+    rng = random.Random(1618)
+    for _ in range(400):
+        yield _wider_rational_lp(rng)
+    for _ in range(150):
+        m = rng.randint(2, 10)
+        K = random_complex(rng, m, max_facets=rng.choice([3, 6, 12, 40]))
+        if not K.min_nonfaces:
+            continue
+        r = rng.choice([2, 2, 3])
+        upper = [] if rng.random() < 0.25 else [f for f in K.facets if f]
+        yield _margin_lp(m, upper, K.min_nonfaces, r)
+
+
+def test_results_pinned_on_wider_instances():
+    # A second pin, past the small instances above: wider rows, duplicated
+    # equality rows, and margin LPs of random complexes at m <= 10.
+    digest = hashlib.sha256()
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for c, rows in _wider_instances():
+        res = maximize(c, rows)
+        seen[res.status] += 1
+        digest.update(repr((res.status, res.objective, res.x, res.duals, res.ray)).encode())
+    assert all(seen.values()), seen
+    assert digest.hexdigest() == (
+        "022154830aaf3a8bfc9dd1a59fb10ee3fb993ec4c1e94b5e9e34233e75bf570b")

@@ -434,8 +434,8 @@ def test_margin_lp_pivot_path_is_pinned():
 
 
 def test_margin_lp_decides_large_examples():
-    # About 12 s and 6 s on the dense Fraction tableau; well under 1 s each
-    # on the fraction-free one.
+    # About 12 s and 6 s on a dense Fraction tableau, 0.17 s and 0.10 s on a
+    # dense fraction-free one, and 0.04 s and 0.03 s on the revised simplex.
     assert is_linearly_realizable(skeleton(4, 11), 2).margin == Fraction(1, 22)
     K6, _ = ramsey_complex(6, contains_clique(3))
     relaxed = linear_subcomplex_witness(K6, 2)
